@@ -1,0 +1,98 @@
+"""Golden outputs: SHA-256 of every CSV the runner writes, at fixed seeds.
+
+The hashes pin today's output bytes, so a change meant to be a pure speed-up
+or refactor must leave them alone.  Results alone are not enough: a change to
+the summation order of the metric trace can keep every 10-trial verdict the
+same while moving the last printed digit of trace.csv, so both trace dumps
+are pinned as well.
+
+The bytes depend on numpy's random streams and its FFT and transcendental
+kernels, so the hashes are only compared under the numpy version they were
+taken with (NUMPY_VERSION); under another version the tests skip and say so.
+To re-take them after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and paste the printed table here, with the reason in CHANGES.md.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ncsync.runner import emit_trace, run_nbi_bandwidth_sweep, run_scenario
+from ncsync.scenario import load
+
+NUMPY_VERSION = "2.4.6"
+
+# "<job>/<file>" -> SHA-256 of the file the job writes (see _produce).
+GOLDEN = {
+    "quick_demo/results.csv":
+        "c288e2ad5fc6c9445d7ee6bc45d5756f6f12bdb926488d6c9908286b06cef7a1",
+    "sync_error_ideal_tone/results.csv":
+        "4f3f70456a4d45aea6eb8ac7793b9153e9eac046a1174a429b91a3dd51d2de73",
+    "sync_error_fm_28k/results.csv":
+        "e8cde8ddb774cc90d91f596089663e8c39a4b0423619b7c452626ac1547b5fae",
+    "sync_error_wideband_fm/results.csv":
+        "1ac4a10679afa2d7de249dc7a32b08f5f77b5016f4d7b7eea1d0a95d6e0d9853",
+    "nbi_bandwidth_sweep/bandwidth_sweep.csv":
+        "6321cbd62fa7ffe336a65c63fd7de6135e9e0e53432c3ddf79bd7126d50a94bd",
+    "trace/trace.csv":
+        "0dbdc229255103aec94e205f8fa809fc69bcae34a83ea0b258023896a3664c61",
+    "trace_pct/trace_percentiles.csv":
+        "b0681084ab7493f8614b7a98ef0d19a975df860f6ee136db6588c9f832583e5a",
+}
+
+MC_PRESETS = ("sync_error_ideal_tone", "sync_error_fm_28k", "sync_error_wideband_fm")
+MC_TRIALS = 3
+SWEEP_TRIALS = 3
+TRACE_SCENARIO, TRACE_CELL = "sync_error_fm_28k", (20.0, 0.0)
+PCT_FRAMES = 12
+
+
+def _produce(name: str, out: Path) -> Path:
+    """Run the job behind a golden name into `out`; returns the written file."""
+    job, fname = name.split("/")
+    if job == "quick_demo":
+        run_scenario(load("quick_demo"), out_dir=out)
+    elif job in MC_PRESETS:
+        sc = load(job)
+        run_scenario(sc, out_dir=out, trials=MC_TRIALS, seed=sc.master_seed)
+    elif job == "nbi_bandwidth_sweep":
+        run_nbi_bandwidth_sweep(load(job), out_dir=out, trials=SWEEP_TRIALS)
+    elif job == "trace":
+        emit_trace(load(TRACE_SCENARIO), *TRACE_CELL, trial=1, out_dir=out)
+    elif job == "trace_pct":
+        emit_trace(load(TRACE_SCENARIO), *TRACE_CELL, percentiles=True,
+                   n_frames=PCT_FRAMES, out_dir=out)
+    else:
+        raise KeyError(name)
+    return out / fname
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+NAMES = (["quick_demo/results.csv"] + [f"{p}/results.csv" for p in MC_PRESETS]
+         + ["nbi_bandwidth_sweep/bandwidth_sweep.csv", "trace/trace.csv",
+            "trace_pct/trace_percentiles.csv"])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_output(name, tmp_path):
+    if np.__version__ != NUMPY_VERSION:
+        pytest.skip(f"hashes taken under numpy {NUMPY_VERSION}, running {np.__version__}")
+    assert _sha256(_produce(name, tmp_path)) == GOLDEN[name], \
+        f"{name} changed bytes"
+
+
+if __name__ == "__main__":
+    print(f'NUMPY_VERSION = "{np.__version__}"', file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, name in enumerate(NAMES):
+            print(f'    "{name}":\n        "{_sha256(_produce(name, Path(tmp) / str(i)))}",')
