@@ -30,13 +30,11 @@ class SyncResult:
 
 def _plateau_midpoint(metric: np.ndarray, i_peak: int) -> int:
     """Midpoint of the contiguous run around i_peak with metric >= 0.9 peak."""
-    thresh = 0.9 * metric[i_peak]
-    lo = i_peak
-    while lo > 0 and metric[lo - 1] >= thresh:
-        lo -= 1
-    hi = i_peak
-    while hi < metric.size - 1 and metric[hi + 1] >= thresh:
-        hi += 1
+    outside = ~(metric >= 0.9 * metric[i_peak])
+    before = np.flatnonzero(outside[:i_peak])
+    after = np.flatnonzero(outside[i_peak + 1:])
+    lo = int(before[-1]) + 1 if before.size else 0
+    hi = i_peak + int(after[0]) if after.size else metric.size - 1
     return (lo + hi) // 2
 
 

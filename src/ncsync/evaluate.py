@@ -53,7 +53,8 @@ def classify(result: SyncResult, true_cfo: float, n_cp: int,
 
 
 def ber_preamble(r: TimeSignal, sync: SyncResult, ch: ChannelRealization,
-                 preamble_bits: np.ndarray, spec: FrameSpec) -> tuple[int, int]:
+                 preamble_bits: np.ndarray, spec: FrameSpec,
+                 h: np.ndarray | None = None) -> tuple[int, int]:
     """Demodulate the preamble at the detected position and count bit errors.
 
     The receiver-side chain: de-rotate the estimated CFO, take the unitary DFT
@@ -61,7 +62,8 @@ def ber_preamble(r: TimeSignal, sync: SyncResult, ch: ChannelRealization,
     the known channel response and the timing-offset phase ramp
     exp(j 2 pi k n_hat / N) before hard QPSK decisions.  Bins where the
     channel response is exactly zero cannot be equalized; they are skipped
-    (with a warning) and excluded from the bit total.
+    (with a warning) and excluded from the bit total.  h, when given, is
+    ch.freq_response at the preamble bins, computed once for several calls.
     """
     n_fft = spec.n_fft
     even = spec.smap.even_occupied()
@@ -74,22 +76,26 @@ def ber_preamble(r: TimeSignal, sync: SyncResult, ch: ChannelRealization,
     window = r.window(sync.n_hat, n_fft)
     n_idx = sync.n_hat + np.arange(n_fft)
     derotated = window * np.exp(-2j * np.pi * sync.nu_hat * n_idx / n_fft)
-    spectrum = np.fft.fftshift(np.fft.fft(derotated)) / np.sqrt(n_fft)
+    # Centered bin k sits at FFT output index k mod N.
+    at_even = np.fft.fft(derotated)[even % n_fft] / np.sqrt(n_fft)
 
-    h = ch.freq_response(even, n_fft)
+    if h is None:
+        h = ch.freq_response(even, n_fft)
     usable = np.abs(h) > 0
-    n_skipped = int(np.count_nonzero(~usable))
-    if n_skipped:
-        warnings.warn(f"skipping {n_skipped} preamble bin(s) with zero channel response",
-                      RuntimeWarning, stacklevel=2)
+    n_usable = int(np.count_nonzero(usable))
     ramp = np.exp(2j * np.pi * even * sync.n_hat / n_fft)
-    d_hat = np.zeros(even.size, dtype=np.complex128)
-    d_hat[usable] = spectrum[spec.smap.columns(even)][usable] / (h[usable] * ramp[usable])
-
-    decided = demap_qpsk(d_hat).reshape(-1, 2)
     truth = preamble_bits.reshape(-1, 2)
+    if n_usable == even.size:
+        decided = demap_qpsk(at_even / (h * ramp)).reshape(-1, 2)
+        return int(np.sum(decided != truth)), 2 * n_usable
+
+    warnings.warn(f"skipping {even.size - n_usable} preamble bin(s) with zero channel "
+                  f"response", RuntimeWarning, stacklevel=2)
+    d_hat = np.zeros(even.size, dtype=np.complex128)
+    d_hat[usable] = at_even[usable] / (h[usable] * ramp[usable])
+    decided = demap_qpsk(d_hat).reshape(-1, 2)
     errors = int(np.sum(decided[usable] != truth[usable]))
-    return errors, int(2 * np.count_nonzero(usable))
+    return errors, 2 * n_usable
 
 
 def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:

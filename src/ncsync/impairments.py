@@ -15,6 +15,7 @@ measured SNR/SIR agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,8 +47,17 @@ class ChannelRealization:
     def freq_response(self, ks, n_fft: int) -> np.ndarray:
         """H(k) = sum_l h[l] exp(-j 2 pi k l / N) at centered bin indices ks."""
         ks = np.asarray(ks, dtype=np.float64)
-        ell = np.arange(self.taps.size)
-        return (self.taps[None, :] * np.exp(-2j * np.pi * np.outer(ks, ell) / n_fft)).sum(axis=1)
+        kernel = _dft_kernel(ks.tobytes(), self.taps.size, n_fft)
+        return (self.taps[None, :] * kernel).sum(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _dft_kernel(ks_bytes: bytes, n_taps: int, n_fft: int) -> np.ndarray:
+    """Read-only exp(-j 2 pi k l / N) for bins k (float64 bytes) and taps l."""
+    ks = np.frombuffer(ks_bytes, dtype=np.float64)
+    kernel = np.exp(-2j * np.pi * np.outer(ks, np.arange(n_taps)) / n_fft)
+    kernel.flags.writeable = False
+    return kernel
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,18 @@ def nirs_numerator(g, q):
 def _sliding_sum(values: np.ndarray, width: int) -> np.ndarray:
     """sums[u] = values[u] + ... + values[u + width - 1] via cumsum."""
     cs = np.cumsum(values)
-    cs = np.concatenate((np.zeros(1, dtype=cs.dtype), cs))
-    return cs[width:] - cs[:-width]
+    sums = np.empty(cs.size - width + 1, dtype=cs.dtype)
+    sums[0] = cs[width - 1]
+    np.subtract(cs[width:], cs[:-width], out=sums[1:])
+    return sums
 
 
-def _safe_ratio_sq(num: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _safe_ratio_sq(num: np.ndarray, mm: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """|num|^2 / mm where positive, else 0 (mm = M^2, positive = M > 0)."""
+    mag2 = np.abs(num)
+    np.square(mag2, out=mag2)
     out = np.zeros(num.shape, dtype=np.float64)
-    np.divide(np.abs(num) ** 2, m * m, out=out, where=m > 0)
+    np.divide(mag2, mm, out=out, where=positive)
     return out
 
 
@@ -95,7 +100,8 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
 
     Window start n is valid when [n, n + N - 1] lies inside the buffer, so a
     buffer of T samples yields T - N + 1 entries.  Windows where M(n) = 0 get
-    metric 0 by convention.
+    metric 0 by convention.  Raises ValueError naming the first non-finite
+    sample, which would otherwise blank every later window's metric.
     """
     s = r.samples
     half = n_fft // 2
@@ -103,14 +109,25 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     n_windows = s.size - n_fft + 1
     if n_windows < 1:
         raise ValueError(f"buffer of {s.size} samples is shorter than one window ({n_fft})")
+    if not np.isfinite(s).all():
+        u = int(np.argmin(np.isfinite(s)))
+        raise ValueError(f"sample {u} (n = {u - r.origin}) is not finite: {s[u]}")
 
+    # Each temporary is dropped once used: on a long capture they would
+    # otherwise add several buffer sizes to the peak.
     half_products = np.conj(s[:-half]) * s[half:]
-    g = _sliding_sum(half_products, half)[:n_windows]
+    g = _sliding_sum(half_products, half)
+    del half_products
 
-    energy = (s.real * s.real + s.imag * s.imag).astype(np.float64)
-    m = _sliding_sum(energy, half)[half : half + n_windows]
+    # The energy cumsum starts at buffer sample 0; M(n) is the difference of
+    # its values N - 1 and N/2 - 1 samples past window start n.
+    cs = np.cumsum(s.real * s.real + s.imag * s.imag)
+    m = cs[n_fft - 1:] - cs[half - 1 : half - 1 + n_windows]
+    del cs
 
-    metric_sc = _safe_ratio_sq(g, m)
+    mm = m * m
+    positive = m > 0
+    metric_sc = _safe_ratio_sq(g, mm, positive)
     n_axis = np.arange(n_windows) - r.origin
 
     if not with_nirs:
@@ -120,7 +137,8 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     s4 = _sliding_sum(quarter_products, quarter)
     q = 0.5 * (s4[:n_windows] + 2.0 * s4[quarter : quarter + n_windows]
                + s4[half : half + n_windows])
+    del s4
     g_nirs = nirs_numerator(g, q)
-    metric_nirs = _safe_ratio_sq(g_nirs, m)
+    metric_nirs = _safe_ratio_sq(g_nirs, mm, positive)
     return MetricTrace(n=n_axis, g=g, m=m, metric_sc=metric_sc,
                        q=q, g_nirs=g_nirs, metric_nirs=metric_nirs)

@@ -35,6 +35,8 @@ class SubcarrierMap:
 
     n_fft: int
     occupied: tuple[int, ...]
+    _occupied: np.ndarray = field(init=False, repr=False, compare=False)
+    _even: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_fft < 8 or self.n_fft % 4 != 0:
@@ -51,18 +53,23 @@ class SubcarrierMap:
             if k < lo or k > hi:
                 raise ValueError(f"subcarrier index {k} outside [{lo}, {hi}]")
         object.__setattr__(self, "occupied", occ)
+        arr = np.asarray(occ, dtype=np.int64)
+        even = arr[arr % 2 == 0]
+        arr.flags.writeable = even.flags.writeable = False
+        object.__setattr__(self, "_occupied", arr)
+        object.__setattr__(self, "_even", even)
 
     @property
     def n_occupied(self) -> int:
         return len(self.occupied)
 
     def occupied_array(self) -> np.ndarray:
-        return np.asarray(self.occupied, dtype=np.int64)
+        """Occupied indices as a read-only int64 array (shared, not a copy)."""
+        return self._occupied
 
     def even_occupied(self) -> np.ndarray:
-        """Occupied indices with even k (the preamble's carriers)."""
-        occ = self.occupied_array()
-        return occ[occ % 2 == 0]
+        """Occupied indices with even k (the preamble's carriers), read-only."""
+        return self._even
 
     def columns(self, ks) -> np.ndarray:
         """Map centered indices k to columns of a dense centered vector."""
@@ -270,13 +277,21 @@ def generate_preamble(spec: FrameSpec, rng: np.random.Generator) -> np.ndarray:
     return preamble_from_bits(spec, rng.integers(0, 2, size=2 * even.size))
 
 
-def random_data_symbol(spec: FrameSpec, rng: np.random.Generator) -> np.ndarray:
-    """Dense centered vector with i.i.d. QPSK on every occupied bin."""
+def random_data_symbol(spec: FrameSpec, rng: np.random.Generator,
+                       count: int | None = None) -> np.ndarray:
+    """Dense centered vector with i.i.d. QPSK on every occupied bin.
+
+    With count, a (count, n_fft) stack of such symbols; the bits are drawn
+    one symbol at a time, so rng yields exactly what count single calls
+    would draw.
+    """
     occ = spec.smap.occupied_array()
-    bits = rng.integers(0, 2, size=2 * occ.size)
-    column = np.zeros(spec.n_fft, dtype=np.complex128)
-    column[spec.smap.columns(occ)] = map_qpsk(bits)
-    return column
+    n = 1 if count is None else count
+    bits = [rng.integers(0, 2, size=2 * occ.size) for _ in range(n)]
+    out = np.zeros((n, spec.n_fft), dtype=np.complex128)
+    if n:
+        out[:, spec.smap.columns(occ)] = map_qpsk(np.concatenate(bits)).reshape(n, -1)
+    return out[0] if count is None else out
 
 
 def build_frame(grid: SymbolGrid, spec: FrameSpec | None = None) -> TimeSignal:
@@ -284,12 +299,16 @@ def build_frame(grid: SymbolGrid, spec: FrameSpec | None = None) -> TimeSignal:
 
     Layout: n_empty_prefix silent symbol slots, then the preamble symbol
     (grid row 0), then the remaining rows.  origin lands on the first post-CP
-    preamble sample.
+    preamble sample.  Every row goes through the same unitary IDFT and CP
+    copy as modulate_symbol, all rows in one transform.
     """
     spec = grid.spec if spec is None else spec
-    chunks = [np.zeros(spec.n_empty_prefix * spec.symbol_len, dtype=np.complex128)]
-    for p in range(spec.n_symbols):
-        chunks.append(modulate_symbol(grid.data[p], spec).samples)
-    samples = np.concatenate(chunks)
-    origin = spec.n_empty_prefix * spec.symbol_len + spec.n_cp
-    return TimeSignal(samples, origin=origin)
+    n, n_cp = spec.n_fft, spec.n_cp
+    rows = grid.data[:spec.n_symbols]
+    body = np.fft.ifft(np.fft.ifftshift(rows, axes=1), axis=1) * np.sqrt(n)
+    prefix = spec.n_empty_prefix * spec.symbol_len
+    samples = np.zeros(spec.total_len, dtype=np.complex128)
+    symbols = samples[prefix:].reshape(spec.n_symbols, spec.symbol_len)
+    symbols[:, n_cp:] = body
+    symbols[:, :n_cp] = body[:, n - n_cp:]
+    return TimeSignal(samples, origin=prefix + n_cp)

@@ -59,13 +59,12 @@ def run_trial(sc: Scenario, snr_db: float, sir_db: float,
     """
     spec = sc.frame
     n_fft = spec.n_fft
-    even_bins = spec.smap.even_occupied().size
+    even = spec.smap.even_occupied()
 
-    bits = rng.integers(0, 2, size=2 * even_bins)
+    bits = rng.integers(0, 2, size=2 * even.size)
     grid = SymbolGrid(spec)
     grid.data[0] = preamble_from_bits(spec, bits)
-    for p in range(1, spec.n_symbols):
-        grid.data[p] = random_data_symbol(spec, rng)
+    grid.data[1:] = random_data_symbol(spec, rng, spec.n_symbols - 1)
     frame = build_frame(grid)
 
     if sc.channel_model == "flat":
@@ -88,12 +87,13 @@ def run_trial(sc: Scenario, snr_db: float, sir_db: float,
 
     trace = compute_trace(mix.received, n_fft, with_nirs="nirs" in sc.algorithms)
     counted = len(trace) - 1
+    h = ch.freq_response(even, n_fft)
     results: dict[str, SyncResult] = {}
     outcomes: dict[str, TrialOutcome] = {}
     for algo in sc.algorithms:
         res = detect(trace, mode=algo, timing_rule=sc.timing_rule,
                      ops=model_counters(algo, counted))
-        errs, total = ber_preamble(mix.received, res, ch, bits, spec)
+        errs, total = ber_preamble(mix.received, res, ch, bits, spec, h=h)
         results[algo] = res
         outcomes[algo] = classify(res, nu, spec.n_cp, errs, total)
     return TrialRecord(true_cfo=nu, results=results, outcomes=outcomes,

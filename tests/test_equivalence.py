@@ -1,0 +1,111 @@
+"""Vectorized hot-path code against the straightforward form it replaced.
+
+Each property compares bit for bit (or index for index) with a plain
+reference kept here, so the golden output hashes stay a consequence of
+these identities rather than of the preset seeds they happen to use.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ncsync import (FrameSpec, SubcarrierMap, SymbolGrid, build_frame, map_qpsk,
+                    modulate_symbol, random_data_symbol)
+from ncsync.detect import _plateau_midpoint
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def loop_plateau_midpoint(metric, i_peak):
+    """The one-window-at-a-time walk _plateau_midpoint replaced."""
+    thresh = 0.9 * metric[i_peak]
+    lo = i_peak
+    while lo > 0 and metric[lo - 1] >= thresh:
+        lo -= 1
+    hi = i_peak
+    while hi < metric.size - 1 and metric[hi + 1] >= thresh:
+        hi += 1
+    return (lo + hi) // 2
+
+
+def loop_random_data_symbol(spec, rng):
+    """One data symbol as drawn before symbols were drawn as a stack."""
+    occ = spec.smap.occupied_array()
+    column = np.zeros(spec.n_fft, dtype=np.complex128)
+    column[spec.smap.columns(occ)] = map_qpsk(rng.integers(0, 2, size=2 * occ.size))
+    return column
+
+
+@st.composite
+def plateau_metrics(draw):
+    """Non-negative metrics with a peak, values at exactly 0.9 of it, and
+    plateaus that may run into either end of the trace."""
+    size = draw(st.integers(1, 60))
+    # Level 0.9 lands exactly on the threshold 0.9 * peak: a tie.
+    levels = st.sampled_from([0.0, 0.5, 0.89, 0.9, 0.95, 1.0])
+    metric = np.array(draw(st.lists(levels, min_size=size, max_size=size)))
+    peak = draw(st.floats(1e-300, 1e300))
+    metric *= peak
+    i_peak = draw(st.integers(0, size - 1))
+    metric[i_peak] = peak
+    for end in draw(st.sets(st.sampled_from(["lo", "hi"]))):
+        run = draw(st.integers(0, size))
+        cut = slice(0, run) if end == "lo" else slice(size - run, size)
+        metric[cut] = np.maximum(metric[cut], 0.9 * peak)
+    return metric, int(np.argmax(metric)) if draw(st.booleans()) else i_peak
+
+
+@SETTINGS
+@given(plateau_metrics())
+def test_plateau_midpoint_matches_the_loop(case):
+    metric, i_peak = case
+    assert _plateau_midpoint(metric, i_peak) == loop_plateau_midpoint(metric, i_peak)
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(1, 80),
+                  elements=st.floats(0.0, 1e6, allow_subnormal=True)),
+       st.data())
+def test_plateau_midpoint_matches_the_loop_on_any_trace(metric, data):
+    i_peak = data.draw(st.integers(0, metric.size - 1))
+    assert _plateau_midpoint(metric, i_peak) == loop_plateau_midpoint(metric, i_peak)
+
+
+@st.composite
+def frame_specs(draw):
+    n_fft = 4 * draw(st.integers(2, 64))
+    occupied = draw(st.sets(st.integers(-n_fft // 2, n_fft // 2 - 1), min_size=1))
+    smap = SubcarrierMap(n_fft=n_fft, occupied=tuple(sorted(occupied)))
+    return FrameSpec(smap=smap, n_cp=draw(st.integers(0, n_fft)),
+                     n_symbols=draw(st.integers(1, 12)),
+                     n_empty_prefix=draw(st.integers(0, 3)))
+
+
+@SETTINGS
+@given(frame_specs(), st.integers(0, 2**32 - 1))
+def test_build_frame_equals_per_symbol_concatenation(spec, seed):
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_symbols, spec.n_fft)
+    grid = SymbolGrid(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    frame = build_frame(grid)
+    want = np.concatenate(
+        [np.zeros(spec.n_empty_prefix * spec.symbol_len, dtype=np.complex128)]
+        + [modulate_symbol(row, spec).samples for row in grid.data])
+    assert frame.origin == spec.n_empty_prefix * spec.symbol_len + spec.n_cp
+    assert frame.samples.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(frame_specs(), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_data_symbol_stack_equals_per_symbol_draws(spec, count, seed):
+    stack_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stack = random_data_symbol(spec, stack_rng, count)
+    want = np.zeros((count, spec.n_fft), dtype=np.complex128)
+    for p in range(count):
+        want[p] = loop_random_data_symbol(spec, loop_rng)
+    assert stack.tobytes() == want.tobytes()
+    # Both leave the generator at the same point in its stream.
+    assert stack_rng.integers(0, 2**62) == loop_rng.integers(0, 2**62)
+    single = random_data_symbol(spec, stack_rng)
+    assert single.shape == (spec.n_fft,)
+    assert single.tobytes() == loop_random_data_symbol(spec, loop_rng).tobytes()

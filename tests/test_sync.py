@@ -89,6 +89,19 @@ def test_trace_window_count_and_short_buffer():
         compute_trace(TimeSignal(np.zeros(100, dtype=complex), 0), N_FFT)
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 1.0)])
+def test_trace_rejects_non_finite_samples(bad):
+    # Through the cumsums a NaN blanks the metric of every later window, so
+    # detect would pick a peak from before the bad sample instead.
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal(2 * 3000).view(np.complex128)
+    x[1700] = x[2500] = bad
+    for with_nirs in (True, False):
+        with pytest.raises(ValueError, match=r"sample 1700 \(n = 1200\) is not finite"):
+            compute_trace(TimeSignal(x, origin=500), N_FFT, with_nirs=with_nirs)
+
+
 def test_stream_matches_batch_both_modes():
     rng = np.random.default_rng(23)
     sig = TimeSignal(rng.standard_normal(2 * 1200).view(np.complex128), origin=300)
