@@ -82,20 +82,18 @@ def ber_preamble(r: TimeSignal, sync: SyncResult, ch: ChannelRealization,
     if h is None:
         h = ch.freq_response(even, n_fft)
     usable = np.abs(h) > 0
-    n_usable = int(np.count_nonzero(usable))
+    n_skipped = int(np.count_nonzero(~usable))
+    if n_skipped:
+        warnings.warn(f"skipping {n_skipped} preamble bin(s) with zero channel response",
+                      RuntimeWarning, stacklevel=2)
     ramp = np.exp(2j * np.pi * even * sync.n_hat / n_fft)
-    truth = preamble_bits.reshape(-1, 2)
-    if n_usable == even.size:
-        decided = demap_qpsk(at_even / (h * ramp)).reshape(-1, 2)
-        return int(np.sum(decided != truth)), 2 * n_usable
-
-    warnings.warn(f"skipping {even.size - n_usable} preamble bin(s) with zero channel "
-                  f"response", RuntimeWarning, stacklevel=2)
     d_hat = np.zeros(even.size, dtype=np.complex128)
     d_hat[usable] = at_even[usable] / (h[usable] * ramp[usable])
+
     decided = demap_qpsk(d_hat).reshape(-1, 2)
+    truth = preamble_bits.reshape(-1, 2)
     errors = int(np.sum(decided[usable] != truth[usable]))
-    return errors, 2 * n_usable
+    return errors, int(2 * np.count_nonzero(usable))
 
 
 def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:

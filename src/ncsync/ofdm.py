@@ -287,10 +287,11 @@ def random_data_symbol(spec: FrameSpec, rng: np.random.Generator,
     """
     occ = spec.smap.occupied_array()
     n = 1 if count is None else count
-    bits = [rng.integers(0, 2, size=2 * occ.size) for _ in range(n)]
+    bits = np.empty((n, 2 * occ.size), dtype=np.int64)
+    for p in range(n):
+        bits[p] = rng.integers(0, 2, size=2 * occ.size)
     out = np.zeros((n, spec.n_fft), dtype=np.complex128)
-    if n:
-        out[:, spec.smap.columns(occ)] = map_qpsk(np.concatenate(bits)).reshape(n, -1)
+    out[:, spec.smap.columns(occ)] = map_qpsk(bits).reshape(n, occ.size)
     return out[0] if count is None else out
 
 
