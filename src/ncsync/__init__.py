@@ -17,10 +17,11 @@ from .ofdm import (FrameSpec, SubcarrierMap, SymbolGrid, TimeSignal,
                    generate_preamble, map_qpsk, modulate_symbol,
                    preamble_from_bits, random_data_symbol)
 from .scenario import Scenario, ScenarioError, load
-from .streaming import OpCounters, SlidingCorrelator, count_report, trace_from_stream
+from .streaming import (ChunkCorrelator, OpCounters, SlidingCorrelator, count_report,
+                        trace_from_stream)
 
 __all__ = [
-    "ChannelRealization", "FrameSpec", "MetricTrace", "MixSpec", "NbiSpec",
+    "ChannelRealization", "ChunkCorrelator", "FrameSpec", "MetricTrace", "MixSpec", "NbiSpec",
     "NoSignalError", "OpCounters", "Scenario", "ScenarioError",
     "SlidingCorrelator", "SubcarrierMap", "SymbolGrid", "SyncResult",
     "TimeSignal", "UnsatisfiablePreambleError", "apply_cfo", "apply_multipath",

@@ -15,8 +15,9 @@ timing metric is |G/M|^2, the interference-hardened one |(G - Q^2/|Q|)/M|^2,
 and the CFO estimate at the detected peak is arg(numerator)/pi subcarrier
 spacings.
 
-This module computes whole traces at once with cumulative sums; streaming.py
-holds the sample-at-a-time engine with the same arithmetic.
+This module computes whole traces at once with cumulative sums.  streaming.py
+runs this kernel over a stream chunk by chunk, and keeps the sample-at-a-time
+recursions as the per-sample operation-count model.
 """
 
 from __future__ import annotations

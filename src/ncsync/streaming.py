@@ -1,7 +1,12 @@
-"""Sample-at-a-time correlator with O(1) work per sample and op accounting.
+"""Streaming correlators: a chunk engine and the per-sample operation-count model.
 
-Each metric window shares almost everything with its predecessor, so after a
-one-off direct summation the correlator advances by retiring one term and
+ChunkCorrelator is the engine a receiver runs.  Each push(chunk) joins the
+last N - 1 samples of the stream to the chunk and evaluates every window the
+chunk completes with metrics.compute_trace, so streamed windows carry the
+batch kernel's arithmetic and the stream's sample indices.
+
+SlidingCorrelator is the paper's hardware cost model.  After a one-off direct
+summation it advances one sample at a time by retiring one term and
 admitting one term per quantity:
 
   G(n) = G(n-1) - p_g(n-1)            + p_g(n-1+N/2)
@@ -14,15 +19,17 @@ one new complex multiply per product stream.  Real-operation counters tick at
 the sites where that arithmetic happens; the totals per counted step are the
 per-sample hardware cost of each algorithm (plain correlator: 10 add/sub,
 10 mul/div; interference-hardened: 24, 24, plus one square root).
+ChunkCorrelator reports the same counters from that model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricTrace
+from .metrics import MetricTrace, compute_trace
 from .ofdm import TimeSignal
 
 MODES = ("sc", "nirs")
@@ -45,11 +52,6 @@ class OpCounters:
         self.mul_div += mul
         self.sqrt += sqrt
 
-    def merged(self, other: "OpCounters") -> "OpCounters":
-        return OpCounters(self.add_sub + other.add_sub,
-                          self.mul_div + other.mul_div,
-                          self.sqrt + other.sqrt)
-
 
 def count_report(ops: OpCounters, n_samples: int) -> tuple[float, float, float]:
     """Per-sample averages (add_sub, mul_div, sqrt) over n_samples steps."""
@@ -62,6 +64,25 @@ def model_counters(mode: str, n_samples: int) -> OpCounters:
     """Counters predicted by the per-sample cost model for n_samples steps."""
     a, m, s = COST_PER_SAMPLE[mode]
     return OpCounters(a * n_samples, m * n_samples, s * n_samples)
+
+
+def _check_config(n_fft: int, mode: str) -> None:
+    if n_fft < 8 or n_fft % 4 != 0:
+        raise ValueError(f"n_fft must be a multiple of 4 and >= 8, got {n_fft}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def _non_finite(index: int, value) -> ValueError:
+    return ValueError(f"stream sample {index} is not finite: {value}")
+
+
+def _check_finite(x: np.ndarray, start: int) -> None:
+    """Raise naming the stream index of x's first non-finite sample (x[0] at start)."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise _non_finite(start + k, x[k])
 
 
 class _Ring:
@@ -107,10 +128,7 @@ class SlidingCorrelator:
     """
 
     def __init__(self, n_fft: int, mode: str = "nirs"):
-        if n_fft < 8 or n_fft % 4 != 0:
-            raise ValueError(f"n_fft must be a multiple of 4 and >= 8, got {n_fft}")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        _check_config(n_fft, mode)
         self.n_fft = n_fft
         self.half = n_fft // 2
         self.quarter = n_fft // 4
@@ -129,14 +147,22 @@ class SlidingCorrelator:
         self._q = 0.0 + 0.0j
 
     def push(self, sample: complex) -> StepResult | None:
-        """Feed one sample; returns a StepResult once N samples are buffered."""
+        """Feed one sample; returns a StepResult once N samples are buffered.
+
+        A non-finite sample would stay in the running sums for good, so it
+        raises ValueError naming its stream index and leaves the state as it
+        was.
+        """
+        sample = complex(sample)
+        if not cmath.isfinite(sample):
+            raise _non_finite(self._n_pushed, sample)
         self._n_pushed += 1
         if self._samples is None:
-            self._warmup.append(complex(sample))
+            self._warmup.append(sample)
             if len(self._warmup) < self.n_fft:
                 return None
             return self._init_from_warmup()
-        return self._step(complex(sample))
+        return self._step(sample)
 
     def _init_from_warmup(self) -> StepResult:
         x = np.asarray(self._warmup, dtype=np.complex128)
@@ -216,29 +242,70 @@ class SlidingCorrelator:
                           g_nirs=None if q is None else complex(num))
 
 
+class ChunkCorrelator:
+    """Streaming correlator fed chunks of any length, empty ones included.
+
+    push(chunk) returns a MetricTrace over the windows the chunk completes,
+    with n in stream coordinates (n = 0 at the first sample pushed), or None
+    while fewer than N samples have arrived.  The last N - 1 samples carry
+    over to the next push, so the traces of any chunking, concatenated, hold
+    every window once and in order.  mode "sc" computes only the plain
+    correlator's fields.  The counters are SlidingCorrelator's: the first
+    window is free and each later one costs COST_PER_SAMPLE[mode].
+    """
+
+    def __init__(self, n_fft: int, mode: str = "nirs"):
+        _check_config(n_fft, mode)
+        self.n_fft = n_fft
+        self.mode = mode
+        self._tail = np.empty(0, dtype=np.complex128)  # last N - 1 samples at most
+        self._n_pushed = 0
+
+    @property
+    def counted_steps(self) -> int:
+        return max(0, self._n_pushed - self.n_fft)
+
+    @property
+    def ops(self) -> OpCounters:
+        return model_counters(self.mode, self.counted_steps)
+
+    def push(self, chunk) -> MetricTrace | None:
+        """Feed a 1-D chunk; returns the windows it completes, if any.
+
+        A chunk holding a non-finite sample raises ValueError naming the
+        sample's stream index and leaves the state as it was.
+        """
+        chunk = np.asarray(chunk, dtype=np.complex128)
+        if chunk.ndim != 1:
+            raise ValueError(f"chunk must be one-dimensional, got shape {chunk.shape}")
+        start = self._n_pushed - self._tail.size  # stream index of buf[0]
+        buf = np.concatenate((self._tail, chunk)) if self._tail.size else chunk
+        trace = None
+        if buf.size < self.n_fft:
+            _check_finite(chunk, self._n_pushed)
+        else:
+            try:
+                trace = compute_trace(TimeSignal(buf, origin=-start), self.n_fft,
+                                      with_nirs=self.mode == "nirs")
+            except ValueError:
+                _check_finite(buf, start)
+                raise
+        self._tail = buf[1 - self.n_fft:].copy()
+        self._n_pushed += chunk.size
+        return trace
+
+
 def trace_from_stream(r: TimeSignal, n_fft: int, mode: str = "nirs"
                       ) -> tuple[MetricTrace, OpCounters, int]:
-    """Run the streaming engine over a whole buffer.
+    """Run the streaming engine over a whole buffer in one push.
 
-    Returns a MetricTrace shaped like metrics.compute_trace's output (the
-    uncomputed branch left None for mode "sc"), the accumulated counters, and
-    the number of counted steps.
+    Returns metrics.compute_trace's output for the buffer (the NIRS fields
+    left None for mode "sc"), the model's counters, and the number of
+    counted steps.
     """
-    corr = SlidingCorrelator(n_fft, mode=mode)
-    results = [res for s in r.samples if (res := corr.push(s)) is not None]
-    if not results:
+    corr = ChunkCorrelator(n_fft, mode=mode)
+    trace = corr.push(r.samples)
+    if trace is None:
         raise ValueError(f"buffer of {len(r)} samples is shorter than one window ({n_fft})")
-    n = np.array([res.window_start for res in results]) - r.origin
-    g = np.array([res.g for res in results])
-    m = np.array([res.m for res in results])
-    metric = np.array([res.metric for res in results])
-    if mode == "sc":
-        trace = MetricTrace(n=n, g=g, m=m, metric_sc=metric)
-    else:
-        q = np.array([res.q for res in results])
-        g_nirs = np.array([res.g_nirs for res in results])
-        sc = np.zeros_like(m)
-        np.divide(np.abs(g) ** 2, m * m, out=sc, where=m > 0)
-        trace = MetricTrace(n=n, g=g, m=m, metric_sc=sc, q=q,
-                            g_nirs=g_nirs, metric_nirs=metric)
+    trace.n -= r.origin
     return trace, corr.ops, corr.counted_steps

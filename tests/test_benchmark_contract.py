@@ -9,6 +9,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import ncsync.streaming
+from ncsync.ofdm import TimeSignal
 from ncsync.runner import run_scenario
 from ncsync.scenario import load
 
@@ -39,3 +43,20 @@ def test_recorder_sees_every_trial():
         assert len(trial["trace"]) == len(trial["r"]) - trial["n_fft"] + 1
         assert [res.mode for res in trial["results"]] == list(sc.algorithms)
         assert [res for res, *_ in trial["scores"]] == trial["results"]
+
+
+def test_streaming_push_span_steps_and_counters():
+    # capture_scan times trace_from_stream as the streaming.push span and
+    # checks its steps and counters against the cost table; the batch
+    # kernel it runs on must not show up as a nested metrics.trace span.
+    rng = np.random.default_rng(5)
+    sig = TimeSignal(rng.standard_normal(2 * 600).view(np.complex128), origin=0)
+    cost = ncsync.streaming.COST_PER_SAMPLE
+    with tracer.Tracer() as spans:
+        for mode in ("nirs", "sc"):
+            trace, ops, steps = ncsync.streaming.trace_from_stream(sig, 256, mode=mode)
+            assert steps == len(trace) - 1
+            assert (ops.add_sub, ops.mul_div, ops.sqrt) == tuple(c * steps for c in cost[mode])
+    assert spans.calls["streaming.push"] == 2
+    assert spans.samples["streaming.push.nirs"] == spans.samples["streaming.push.sc"] == 600
+    assert "metrics.trace" not in spans.calls

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncsync import (FrameSpec, NoSignalError, OpCounters, SlidingCorrelator,
-                    SubcarrierMap, SymbolGrid, TimeSignal, build_frame,
-                    compute_trace, count_report, detect, generate_preamble,
-                    nirs_numerator, preamble_from_bits, random_data_symbol,
-                    trace_from_stream)
+from ncsync import (ChunkCorrelator, FrameSpec, NoSignalError, OpCounters,
+                    SlidingCorrelator, SubcarrierMap, SymbolGrid, TimeSignal,
+                    build_frame, compute_trace, count_report, detect,
+                    generate_preamble, nirs_numerator, preamble_from_bits,
+                    random_data_symbol, trace_from_stream)
 from ncsync.metrics import MetricTrace
-from ncsync.streaming import COST_PER_SAMPLE, model_counters
+from ncsync.streaming import COST_PER_SAMPLE, MODES, model_counters
 
 N_FFT = 256
 STREAM_TOL = 1e-9 * N_FFT
+NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)]
+TRACE_FIELDS = ("g", "m", "metric_sc", "q", "g_nirs", "metric_nirs")
 
 
 def tone(f, length, amp=1.0, phi=0.0):
@@ -89,8 +92,7 @@ def test_trace_window_count_and_short_buffer():
         compute_trace(TimeSignal(np.zeros(100, dtype=complex), 0), N_FFT)
 
 
-@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
-                                 complex(-np.inf, 1.0)])
+@pytest.mark.parametrize("bad", NON_FINITE)
 def test_trace_rejects_non_finite_samples(bad):
     # Through the cumsums a NaN blanks the metric of every later window, so
     # detect would pick a peak from before the bad sample instead.
@@ -103,21 +105,20 @@ def test_trace_rejects_non_finite_samples(bad):
 
 
 def test_stream_matches_batch_both_modes():
+    # One push of a whole buffer is the batch kernel: equal bit for bit.
     rng = np.random.default_rng(23)
     sig = TimeSignal(rng.standard_normal(2 * 1200).view(np.complex128), origin=300)
-    batch = compute_trace(sig, N_FFT)
-    for mode in ("sc", "nirs"):
+    for mode in MODES:
+        batch = compute_trace(sig, N_FFT, with_nirs=mode == "nirs")
         streamed, ops, counted = trace_from_stream(sig, N_FFT, mode)
         assert counted == 1200 - N_FFT
         np.testing.assert_array_equal(streamed.n, batch.n)
-        np.testing.assert_allclose(streamed.g, batch.g, atol=STREAM_TOL)
-        np.testing.assert_allclose(streamed.m, batch.m, atol=STREAM_TOL)
-        np.testing.assert_allclose(streamed.metric_sc, batch.metric_sc, atol=1e-9)
-        if mode == "nirs":
-            np.testing.assert_allclose(streamed.q, batch.q, atol=STREAM_TOL)
-            np.testing.assert_allclose(streamed.g_nirs, batch.g_nirs, atol=STREAM_TOL)
-            np.testing.assert_allclose(streamed.metric_nirs, batch.metric_nirs,
-                                       atol=1e-9)
+        for name in TRACE_FIELDS:
+            want = getattr(batch, name)
+            if want is None:
+                assert getattr(streamed, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(streamed, name), want)
 
 
 def test_stream_counters_are_exact():
@@ -135,8 +136,6 @@ def test_stream_counters_are_exact():
 def test_counter_helpers():
     with pytest.raises(ValueError):
         count_report(OpCounters(), 0)
-    merged = OpCounters(1, 2, 3).merged(OpCounters(10, 20, 30))
-    assert (merged.add_sub, merged.mul_div, merged.sqrt) == (11, 22, 33)
     model = model_counters("nirs", 100)
     assert (model.add_sub, model.mul_div, model.sqrt) == (2400, 2400, 100)
     assert COST_PER_SAMPLE == {"sc": (10, 10, 0), "nirs": (24, 24, 1)}
@@ -148,12 +147,106 @@ def test_streaming_input_validation():
     with pytest.raises(ValueError):
         SlidingCorrelator(256, mode="fast")
     with pytest.raises(ValueError):
+        ChunkCorrelator(10)
+    with pytest.raises(ValueError):
+        ChunkCorrelator(256, mode="fast")
+    with pytest.raises(ValueError):
+        ChunkCorrelator(16).push(np.ones((4, 4)))
+    with pytest.raises(ValueError):
         trace_from_stream(TimeSignal(np.zeros(10, dtype=complex), 0), N_FFT)
+    x = np.ones(300, dtype=complex)
+    x[280] = np.nan
+    with pytest.raises(ValueError, match=r"stream sample 280 is not finite"):
+        trace_from_stream(TimeSignal(x, origin=50), N_FFT)
     corr = SlidingCorrelator(16, mode="sc")
     assert all(corr.push(1.0) is None for _ in range(15))
     first = corr.push(1.0)
     assert first is not None and first.window_start == 0
     assert corr.counted_steps == 0  # warm-up emission is free
+
+
+def test_sliding_recursions_match_direct_sums():
+    """The O(1) recursions, pushed sample by sample over criterion 04's input."""
+    rng = np.random.default_rng(20004)
+    r = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    corr = SlidingCorrelator(N_FFT, mode="nirs")
+    results = [res for s in r if (res := corr.push(s)) is not None]
+    assert [res.window_start for res in results] == list(range(1000 - N_FFT + 1))
+    worst = 0.0
+    for res in results:
+        g, m, q = direct_sums(r, res.window_start)
+        worst = max(worst, abs(res.g - g), abs(res.m - m), abs(res.q - q))
+    assert worst < STREAM_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_fft=st.sampled_from([8, 16, 32]), mode=st.sampled_from(MODES),
+       length=st.integers(0, 200), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_any_chunking_equals_one_shot(n_fft, mode, length, seed, data):
+    length += n_fft
+    # Repeated and end cut points give empty chunks; close ones give chunks
+    # shorter than a window.
+    cuts = sorted(data.draw(st.lists(st.integers(0, length), max_size=12)))
+    x = np.random.default_rng(seed).standard_normal(2 * length).view(np.complex128)
+    corr = ChunkCorrelator(n_fft, mode=mode)
+    parts = []
+    for chunk in np.split(x, cuts):
+        trace = corr.push(chunk)
+        if trace is not None:
+            parts.append(trace)
+        n_windows = sum(len(p) for p in parts)
+        assert corr.counted_steps == max(0, n_windows - 1)
+        assert corr.ops == model_counters(mode, corr.counted_steps)
+    one = compute_trace(TimeSignal(x, 0), n_fft, with_nirs=mode == "nirs")
+    np.testing.assert_array_equal(np.concatenate([p.n for p in parts]), one.n)
+    assert corr.counted_steps == len(one) - 1
+    for name in TRACE_FIELDS:
+        want = getattr(one, name)
+        if want is None:
+            assert all(getattr(p, name) is None for p in parts)
+            continue
+        got = np.concatenate([getattr(p, name) for p in parts])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("at", [
+    30,   # first chunk, shorter than a window
+    200,  # second chunk, the first to complete windows
+    560,  # a later chunk
+    390,  # among the samples the second chunk carries over to the third
+])
+def test_chunk_push_rejects_non_finite_by_stream_index(mode, bad, at):
+    cuts = (100, 400)
+    x = np.random.default_rng(61).standard_normal(2 * 700).view(np.complex128)
+    clean, corr = ChunkCorrelator(N_FFT, mode=mode), ChunkCorrelator(N_FFT, mode=mode)
+    for chunk, lo in zip(np.split(x, cuts), (0,) + cuts):
+        if lo <= at < lo + chunk.size:
+            broken = chunk.copy()
+            broken[at - lo] = bad
+            with pytest.raises(ValueError, match=rf"stream sample {at} is not finite"):
+                corr.push(broken)
+        got, want = corr.push(chunk), clean.push(chunk)
+        # The rejected chunk left the carried samples as they were.
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got.n, want.n)
+            np.testing.assert_array_equal(got.metric(mode), want.metric(mode))
+    assert corr.counted_steps == clean.counted_steps
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("at", [30, N_FFT - 1, 390])  # warm-up, its last sample, a step
+def test_sliding_push_rejects_non_finite_by_stream_index(bad, at):
+    x = np.random.default_rng(67).standard_normal(2 * 500).view(np.complex128)
+    clean, corr = SlidingCorrelator(N_FFT), SlidingCorrelator(N_FFT)
+    for k, s in enumerate(x):
+        if k == at:
+            with pytest.raises(ValueError, match=rf"stream sample {at} is not finite"):
+                corr.push(bad)
+        assert corr.push(s) == clean.push(s)
+    assert corr.ops == clean.ops
 
 
 def test_metric_bound_and_normalizer_sign():
