@@ -7,12 +7,12 @@ and cross terms driven by one half-window transform of the clean signal:
     b(n) = sum_{m=0}^{N/2-1} y(n+m) exp(-j 2 pi (f - nu) (n + m) / N)
 
 i.e. the signal's DFT component at the tone's offset frequency, evaluated over
-a sliding half-symbol window.  b(n) admits closed forms for a flat-channel
-symbol (sums of sine ratios over the occupied bins), is small whenever f falls
-in a spectral notch, and superposes linearly over channel taps.  This module
-provides the direct sums, the closed forms, the exact decomposition of G and Q
-over a signal + tone mixture, and a Monte-Carlo estimate of how much
-cross-term power survives a given notch width.
+a sliding half-symbol window.  b(n) admits a closed form for a flat-channel
+symbol (a sum of sine ratios over the occupied bins) and is small whenever f
+falls in a spectral notch.  This module provides the direct sum, the
+flat-channel closed form, the exact decomposition of G and Q over a signal +
+tone mixture, and a Monte-Carlo estimate of how much cross-term power
+survives a given notch width.
 """
 
 from __future__ import annotations
@@ -85,28 +85,6 @@ def b_closed_form(column: np.ndarray, f: float, nu: float, n: int,
     ratio = np.sin(np.pi * theta * win / n_fft) / np.sin(np.pi * theta / n_fft)
     total += complex(np.sum(d[~singular] * ratio * np.exp(1j * np.pi * theta * phase_arg)))
     return complex(total / np.sqrt(n_fft))
-
-
-def b_multipath(column: np.ndarray, taps: np.ndarray, f: float, nu: float,
-                n: int, spec: FrameSpec) -> complex:
-    """b(n) for a multipath channel as a phased sum of flat-channel terms.
-
-    Each tap delays the symbol by l samples and, inside the window transform,
-    picks up the constant phase exp(-j 2 pi (f - nu) l / N) on top of its gain:
-    b(n) = sum_l h[l] exp(-j 2 pi (f - nu) l / N) b_flat(n - l).
-    """
-    taps = np.asarray(taps, dtype=np.complex128)
-    n_fft = spec.n_fft
-    total = 0.0 + 0.0j
-    for ell, h in enumerate(taps):
-        if h == 0:
-            continue
-        try:
-            b_flat = b_closed_form(column, f, nu, n - ell, spec)
-        except ValueError:
-            continue  # delayed window misses the symbol: zero contribution
-        total += h * np.exp(-2j * np.pi * (f - nu) * ell / n_fft) * b_flat
-    return complex(total)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +48,8 @@ def detect(trace: MetricTrace, mode: str = "nirs", timing_rule: str = "argmax",
     the midpoint of the >= 90%-of-peak plateau around it, which centers the
     estimate when the cyclic prefix creates a flat top.  The CFO estimate is
     arg(numerator(n_hat)) / pi.  Raises NoSignalError when M is zero
-    everywhere.
+    everywhere, and ValueError when the peak metric or the numerator at n_hat
+    is not finite.
     """
     if timing_rule not in TIMING_RULES:
         raise ValueError(f"unknown timing rule {timing_rule!r}; expected one of {TIMING_RULES}")
@@ -57,7 +60,14 @@ def detect(trace: MetricTrace, mode: str = "nirs", timing_rule: str = "argmax",
     metric = trace.metric(mode)
     i_peak = int(np.argmax(metric))
     idx = i_peak if timing_rule == "argmax" else _plateau_midpoint(metric, i_peak)
-    nu_hat = float(np.angle(trace.numerator(mode)[idx]) / np.pi)
+    num = trace.numerator(mode)[idx]
+    # argmax returns the first NaN when there is one, so checking the peak
+    # catches every NaN and +inf in the metric without a scan.  numpy
+    # scalars are Python floats and complexes, so math/cmath check them
+    # without a ufunc call.
+    if not (math.isfinite(metric[i_peak]) and cmath.isfinite(num)):
+        raise ValueError(f"non-finite {mode} metric or numerator at n = {int(trace.n[idx])}")
+    nu_hat = float(np.angle(num) / np.pi)
     return SyncResult(n_hat=int(trace.n[idx]), nu_hat=nu_hat,
                       peak_value=float(metric[i_peak]), mode=mode,
                       ops=ops if ops is not None else OpCounters())

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import SyncResult
-from .impairments import ChannelRealization
 from .ofdm import FrameSpec, TimeSignal, demap_qpsk
 
 
@@ -52,18 +51,17 @@ def classify(result: SyncResult, true_cfo: float, n_cp: int,
                         bits_total=bits_total)
 
 
-def ber_preamble(r: TimeSignal, sync: SyncResult, ch: ChannelRealization,
-                 preamble_bits: np.ndarray, spec: FrameSpec,
-                 h: np.ndarray | None = None) -> tuple[int, int]:
+def ber_preamble(r: TimeSignal, sync: SyncResult, h: np.ndarray,
+                 preamble_bits: np.ndarray, spec: FrameSpec) -> tuple[int, int]:
     """Demodulate the preamble at the detected position and count bit errors.
 
     The receiver-side chain: de-rotate the estimated CFO, take the unitary DFT
     of the N samples starting at n_hat, then zero-force each preamble bin by
     the known channel response and the timing-offset phase ramp
-    exp(j 2 pi k n_hat / N) before hard QPSK decisions.  Bins where the
-    channel response is exactly zero cannot be equalized; they are skipped
-    (with a warning) and excluded from the bit total.  h, when given, is
-    ch.freq_response at the preamble bins, computed once for several calls.
+    exp(j 2 pi k n_hat / N) before hard QPSK decisions.  h is the channel
+    response at the preamble bins (spec.smap.even_occupied()), one value per
+    bin.  Bins where it is exactly zero cannot be equalized; they are skipped
+    (with a warning) and excluded from the bit total.
     """
     n_fft = spec.n_fft
     even = spec.smap.even_occupied()
@@ -73,14 +71,16 @@ def ber_preamble(r: TimeSignal, sync: SyncResult, ch: ChannelRealization,
             f"expected {2 * even.size} preamble bits for {even.size} bins, "
             f"got {preamble_bits.size}"
         )
+    h = np.asarray(h)
+    if h.shape != (even.size,):
+        raise ValueError(f"expected {even.size} channel response values, one per "
+                         f"preamble bin, got shape {h.shape}")
     window = r.window(sync.n_hat, n_fft)
     n_idx = sync.n_hat + np.arange(n_fft)
     derotated = window * np.exp(-2j * np.pi * sync.nu_hat * n_idx / n_fft)
     # Centered bin k sits at FFT output index k mod N.
     at_even = np.fft.fft(derotated)[even % n_fft] / np.sqrt(n_fft)
 
-    if h is None:
-        h = ch.freq_response(even, n_fft)
     usable = np.abs(h) > 0
     n_skipped = int(np.count_nonzero(~usable))
     if n_skipped:

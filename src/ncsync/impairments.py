@@ -113,8 +113,6 @@ class MixSpec:
 
     snr_db: float
     sir_db: float
-    cfo_norm: float = 0.0
-    seed: int = 0
 
 
 @dataclass
@@ -198,7 +196,7 @@ def mean_power(x: np.ndarray) -> float:
 
 
 def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec,
-                      active: slice, rng: np.random.Generator | None = None) -> MixResult:
+                      active: slice, rng: np.random.Generator) -> MixResult:
     """Scale interference and noise to the requested SIR/SNR and sum.
 
     `active` is a buffer-index slice over which the signal power reference is
@@ -213,8 +211,6 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec,
     p_sig = mean_power(sig[active])
     if p_sig <= 0:
         raise ValueError("signal power over the active region is zero")
-    if rng is None:
-        rng = np.random.default_rng(mix.seed)
 
     if np.isinf(mix.sir_db):
         sigma_i2 = 0.0

@@ -139,15 +139,6 @@ class TimeSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def n_first(self) -> int:
-        """Frame-relative index of samples[0]."""
-        return -self.origin
-
-    @property
-    def n_last(self) -> int:
-        return self.samples.size - 1 - self.origin
-
     def n_axis(self) -> np.ndarray:
         return np.arange(self.samples.size) - self.origin
 
@@ -157,7 +148,7 @@ class TimeSignal:
         if u < 0 or u + length > self.samples.size:
             raise ValueError(
                 f"window [{n}, {n + length}) outside signal "
-                f"[{self.n_first}, {self.n_last + 1})"
+                f"[{-self.origin}, {self.samples.size - self.origin})"
             )
         return self.samples[u : u + length]
 
@@ -181,24 +172,6 @@ class SymbolGrid:
             self.data = np.asarray(self.data, dtype=np.complex128)
             if self.data.shape != shape:
                 raise ValueError(f"grid shape {self.data.shape} != {shape}")
-
-    def set_symbol(self, p: int, values: np.ndarray, ks=None):
-        """Fill symbol p, either a full centered vector or values at indices ks."""
-        if ks is None:
-            values = np.asarray(values, dtype=np.complex128)
-            if values.shape != (self.spec.n_fft,):
-                raise ValueError("full symbol vector must have length n_fft")
-            self.data[p, :] = values
-        else:
-            self.data[p, :] = 0.0
-            self.data[p, self.spec.smap.columns(ks)] = values
-        self._check_support(p)
-
-    def _check_support(self, p: int):
-        mask = np.zeros(self.spec.n_fft, dtype=bool)
-        mask[self.spec.smap.columns(self.spec.smap.occupied_array())] = True
-        if np.any(self.data[p, ~mask] != 0):
-            raise ValueError(f"symbol {p} has energy outside the occupied set")
 
 
 def map_qpsk(bits) -> np.ndarray:
@@ -270,10 +243,6 @@ def preamble_from_bits(spec: FrameSpec, bits) -> np.ndarray:
 def generate_preamble(spec: FrameSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw a random preamble symbol (see preamble_from_bits)."""
     even = spec.smap.even_occupied()
-    if even.size == 0:
-        raise UnsatisfiablePreambleError(
-            "occupied set has no even subcarrier; no half-repeating preamble exists"
-        )
     return preamble_from_bits(spec, rng.integers(0, 2, size=2 * even.size))
 
 
@@ -295,7 +264,7 @@ def random_data_symbol(spec: FrameSpec, rng: np.random.Generator,
     return out[0] if count is None else out
 
 
-def build_frame(grid: SymbolGrid, spec: FrameSpec | None = None) -> TimeSignal:
+def build_frame(grid: SymbolGrid) -> TimeSignal:
     """Serialize a symbol grid into one baseband buffer.
 
     Layout: n_empty_prefix silent symbol slots, then the preamble symbol
@@ -303,10 +272,9 @@ def build_frame(grid: SymbolGrid, spec: FrameSpec | None = None) -> TimeSignal:
     preamble sample.  Every row goes through the same unitary IDFT and CP
     copy as modulate_symbol, all rows in one transform.
     """
-    spec = grid.spec if spec is None else spec
+    spec = grid.spec
     n, n_cp = spec.n_fft, spec.n_cp
-    rows = grid.data[:spec.n_symbols]
-    body = np.fft.ifft(np.fft.ifftshift(rows, axes=1), axis=1) * np.sqrt(n)
+    body = np.fft.ifft(np.fft.ifftshift(grid.data, axes=1), axis=1) * np.sqrt(n)
     prefix = spec.n_empty_prefix * spec.symbol_len
     samples = np.zeros(spec.total_len, dtype=np.complex128)
     symbols = samples[prefix:].reshape(spec.n_symbols, spec.symbol_len)

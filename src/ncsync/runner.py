@@ -83,7 +83,7 @@ def run_trial(sc: Scenario, snr_db: float, sir_db: float,
                   len(y), y.origin, n_fft, rng)
 
     active = slice(spec.n_empty_prefix * spec.symbol_len, None)
-    mix = calibrate_and_mix(y_cfo, nbi, MixSpec(snr_db, sir_db, nu), active, rng)
+    mix = calibrate_and_mix(y_cfo, nbi, MixSpec(snr_db, sir_db), active, rng)
 
     trace = compute_trace(mix.received, n_fft, with_nirs="nirs" in sc.algorithms)
     counted = len(trace) - 1
@@ -93,7 +93,7 @@ def run_trial(sc: Scenario, snr_db: float, sir_db: float,
     for algo in sc.algorithms:
         res = detect(trace, mode=algo, timing_rule=sc.timing_rule,
                      ops=model_counters(algo, counted))
-        errs, total = ber_preamble(mix.received, res, ch, bits, spec, h=h)
+        errs, total = ber_preamble(mix.received, res, h, bits, spec)
         results[algo] = res
         outcomes[algo] = classify(res, nu, spec.n_cp, errs, total)
     return TrialRecord(true_cfo=nu, results=results, outcomes=outcomes,
@@ -110,37 +110,61 @@ def run_cell(sc: Scenario, snr_db: float, sir_db: float, n_trials: int,
     return out
 
 
+RESULT_COLUMNS = ("snr_db", "sir_db", "algorithm", "nbi_kind", "p_sync_error",
+                  "ci95_halfwidth", "mse_time_samples2", "mse_freq_sc2",
+                  "ber_preamble", "n_trials")
+SWEEP_COLUMNS = ("bandwidth_hz", "sir_db", "algorithm", "p_sync_error",
+                 "ci95_halfwidth", "n_trials")
+
+
+def _check_trials(n_trials: int) -> int:
+    if n_trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {n_trials}")
+    return n_trials
+
+
+def _run_plan(sc: Scenario, plan, columns: tuple[str, ...], trials: int | None,
+              seed: int | None, out_dir: str | Path | None, fname: str) -> list[dict]:
+    """Run a plan of (cell key, scenario variant, SNR, SIR, leading columns).
+
+    Returns one row per cell and algorithm, in plan order, holding `columns`
+    out of the leading columns, the algorithm, the interferer kind and the
+    aggregate statistics.  With out_dir, the rows go to out_dir/fname.
+    """
+    n_trials = _check_trials(sc.n_trials if trials is None else trials)
+    master_seed = sc.master_seed if seed is None else seed
+    rows: list[dict] = []
+    for cell_key, cell_sc, snr_db, sir_db, lead in plan:
+        per_algo = run_cell(cell_sc, snr_db, sir_db, n_trials, master_seed, cell_key)
+        for algo in cell_sc.algorithms:
+            stats = aggregate(per_algo[algo])
+            row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi_kind,
+                   "p_sync_error": stats.p_sync_error,
+                   "ci95_halfwidth": stats.ci_halfwidth,
+                   "mse_time_samples2": stats.mse_time,
+                   "mse_freq_sc2": stats.mse_freq,
+                   "ber_preamble": stats.ber,
+                   "n_trials": stats.n_trials}
+            rows.append({key: row[key] for key in columns})
+    _write_outputs(out_dir, fname, rows, sc, master_seed, n_trials)
+    return rows
+
+
+def _write_outputs(out_dir: str | Path | None, fname: str, rows: list[dict],
+                   sc: Scenario, master_seed: int, n_trials: int):
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        write_csv(out_dir / fname, rows)
+        write_manifest(out_dir, sc, master_seed, n_trials, [fname])
+
+
 def run_scenario(sc: Scenario, out_dir: str | Path | None = None,
                  trials: int | None = None, seed: int | None = None) -> list[dict]:
     """Run the whole grid; returns result rows, optionally writing CSV+manifest."""
-    n_trials = sc.n_trials if trials is None else trials
-    master_seed = sc.master_seed if seed is None else seed
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    rows: list[dict] = []
-    for snr_db in sc.snr_grid:
-        for sir_db in sc.sir_grid:
-            cell_key = f"snr={snr_db!r}|sir={sir_db!r}"
-            per_algo = run_cell(sc, snr_db, sir_db, n_trials, master_seed, cell_key)
-            for algo in sc.algorithms:
-                stats = aggregate(per_algo[algo])
-                rows.append({
-                    "snr_db": snr_db,
-                    "sir_db": sir_db,
-                    "algorithm": algo,
-                    "nbi_kind": sc.nbi_kind,
-                    "p_sync_error": stats.p_sync_error,
-                    "ci95_halfwidth": stats.ci_halfwidth,
-                    "mse_time_samples2": stats.mse_time,
-                    "mse_freq_sc2": stats.mse_freq,
-                    "ber_preamble": stats.ber,
-                    "n_trials": stats.n_trials,
-                })
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(out_dir / "results.csv", rows)
-        write_manifest(out_dir, sc, master_seed, n_trials, ["results.csv"])
-    return rows
+    plan = [(f"snr={snr_db!r}|sir={sir_db!r}", sc, snr_db, sir_db,
+             {"snr_db": snr_db, "sir_db": sir_db})
+            for snr_db in sc.snr_grid for sir_db in sc.sir_grid]
+    return _run_plan(sc, plan, RESULT_COLUMNS, trials, seed, out_dir, "results.csv")
 
 
 def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
@@ -149,40 +173,25 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     """Sweep the FM interferer's occupied bandwidth at fixed SNR.
 
     The deviation follows from Carson's rule, delta_f = bandwidth/2 - f_m, so
-    bandwidths at or below 2 f_m are rejected.  The scenario's own grid/kind
-    are overridden: the interferer is single-tone FM at each bandwidth.
+    bandwidths at or below 2 f_m are rejected, before any trial runs.  The
+    scenario's own grid/kind are overridden: the interferer is single-tone FM
+    at each bandwidth.
     """
     bandwidths = tuple(bandwidths_hz if bandwidths_hz is not None
                        else sc.sweep_bandwidths_hz)
     if not bandwidths:
         raise ValueError("no bandwidths given (flag or [sweep] bandwidths_hz)")
     sirs = tuple(sir_list if sir_list is not None else sc.sir_grid)
-    n_trials = sc.n_trials if trials is None else trials
-    master_seed = sc.master_seed if seed is None else seed
     f_m = sc.nbi_f_m_hz
-    rows: list[dict] = []
+    plan = []
     for bw in bandwidths:
         if bw <= 2.0 * f_m:
             raise ValueError(f"bandwidth {bw} Hz <= Carson floor 2*f_m = {2 * f_m} Hz")
         sweep_sc = replace(sc, nbi_kind="fm_carson", nbi_delta_f_hz=bw / 2.0 - f_m)
-        for sir_db in sirs:
-            cell_key = f"bw={bw!r}|snr={snr_db!r}|sir={sir_db!r}"
-            per_algo = run_cell(sweep_sc, snr_db, sir_db, n_trials, master_seed, cell_key)
-            for algo in sweep_sc.algorithms:
-                stats = aggregate(per_algo[algo])
-                rows.append({
-                    "bandwidth_hz": bw,
-                    "sir_db": sir_db,
-                    "algorithm": algo,
-                    "p_sync_error": stats.p_sync_error,
-                    "ci95_halfwidth": stats.ci_halfwidth,
-                    "n_trials": stats.n_trials,
-                })
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(out_dir / "bandwidth_sweep.csv", rows)
-        write_manifest(out_dir, sc, master_seed, n_trials, ["bandwidth_sweep.csv"])
-    return rows
+        plan += [(f"bw={bw!r}|snr={snr_db!r}|sir={sir_db!r}", sweep_sc, snr_db, sir_db,
+                  {"bandwidth_hz": bw, "sir_db": sir_db}) for sir_db in sirs]
+    return _run_plan(sc, plan, SWEEP_COLUMNS, trials, seed, out_dir,
+                     "bandwidth_sweep.csv")
 
 
 def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
@@ -195,48 +204,35 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
     10th/50th/90th percentiles of both timing metrics.  Returns (rows,
     filename).
     """
+    n_trials = _check_trials(n_frames if percentiles else 1)
     cell_key = f"trace|snr={snr_db!r}|sir={sir_db!r}"
-    rows: list[dict] = []
+    sc_stack, nirs_stack = [], []
+    for t in (range(n_frames) if percentiles else [trial]):
+        tr = run_trial(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, t),
+                       keep_trace=True).trace
+        sc_stack.append(tr.metric_sc)
+        nirs_stack.append(tr.metric_nirs)
     if percentiles:
-        sc_stack, nirs_stack = [], []
-        n_axis = None
-        for t in range(n_frames):
-            rec = run_trial(sc, snr_db, sir_db,
-                            trial_rng(sc.master_seed, cell_key, t), keep_trace=True)
-            sc_stack.append(rec.trace.metric_sc)
-            nirs_stack.append(rec.trace.metric_nirs)
-            n_axis = rec.trace.n
         sc_q = np.percentile(np.vstack(sc_stack), [10, 50, 90], axis=0)
         nirs_q = np.percentile(np.vstack(nirs_stack), [10, 50, 90], axis=0)
-        for i, n in enumerate(n_axis):
-            rows.append({
-                "n": int(n),
-                "metric_sc_p10": sc_q[0, i], "metric_sc_p50": sc_q[1, i],
-                "metric_sc_p90": sc_q[2, i],
-                "metric_nirs_p10": nirs_q[0, i], "metric_nirs_p50": nirs_q[1, i],
-                "metric_nirs_p90": nirs_q[2, i],
-            })
+        rows = [{"n": int(n),
+                 "metric_sc_p10": sc_q[0, i], "metric_sc_p50": sc_q[1, i],
+                 "metric_sc_p90": sc_q[2, i],
+                 "metric_nirs_p10": nirs_q[0, i], "metric_nirs_p50": nirs_q[1, i],
+                 "metric_nirs_p90": nirs_q[2, i]}
+                for i, n in enumerate(tr.n)]
         fname = "trace_percentiles.csv"
     else:
-        rec = run_trial(sc, snr_db, sir_db,
-                        trial_rng(sc.master_seed, cell_key, trial), keep_trace=True)
-        tr = rec.trace
-        for i, n in enumerate(tr.n):
-            rows.append({
-                "n": int(n),
-                "g_re": tr.g[i].real, "g_im": tr.g[i].imag,
-                "m": tr.m[i],
-                "q_re": tr.q[i].real, "q_im": tr.q[i].imag,
-                "g_nirs_re": tr.g_nirs[i].real, "g_nirs_im": tr.g_nirs[i].imag,
-                "metric_sc": tr.metric_sc[i],
-                "metric_nirs": tr.metric_nirs[i],
-            })
+        rows = [{"n": int(n),
+                 "g_re": tr.g[i].real, "g_im": tr.g[i].imag,
+                 "m": tr.m[i],
+                 "q_re": tr.q[i].real, "q_im": tr.q[i].imag,
+                 "g_nirs_re": tr.g_nirs[i].real, "g_nirs_im": tr.g_nirs[i].imag,
+                 "metric_sc": tr.metric_sc[i],
+                 "metric_nirs": tr.metric_nirs[i]}
+                for i, n in enumerate(tr.n)]
         fname = "trace.csv"
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_csv(out_dir / fname, rows)
-        write_manifest(out_dir, sc, sc.master_seed,
-                       n_frames if percentiles else 1, [fname])
+    _write_outputs(out_dir, fname, rows, sc, sc.master_seed, n_trials)
     return rows, fname
 
 

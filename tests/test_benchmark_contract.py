@@ -7,10 +7,13 @@ benchmark's reference checks without failing any other test.
 
 import importlib
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+import ncsync.runner
 import ncsync.streaming
 from ncsync.ofdm import TimeSignal
 from ncsync.runner import run_scenario
@@ -28,6 +31,34 @@ def test_every_traced_span_resolves():
     # KeyError for one that is gone.
     with tracer.patched([(m, a, lambda fn: fn) for m, a, _ in tracer.ALL_SPANS]):
         pass
+
+
+def test_every_runner_span_is_called(tmp_path):
+    # Resolving is not enough: an entry point that routes around a name it
+    # still imports leaves that name's per-layer figure silently at 0.
+    # Calls go through the module, where the tracer swaps the names.
+    sc = replace(load("quick_demo"), channel_model="cost207tu")
+    called = Counter()
+
+    def counting(key):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                called[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        return make
+
+    runner = ncsync.runner
+    with tracer.Tracer() as spans, \
+            tracer.patched([(m, a, counting(a)) for m, a, _ in tracer.RUNNER_SPANS]):
+        runner.run_scenario(sc, out_dir=tmp_path / "run", trials=1)
+        runner.run_nbi_bandwidth_sweep(sc, bandwidths_hz=(4000.0,), sir_list=(0.0,),
+                                       trials=1, out_dir=tmp_path / "sweep")
+        runner.emit_trace(sc, 20.0, 0.0, out_dir=tmp_path / "trace")
+        runner.emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=2,
+                          out_dir=tmp_path / "pct")
+    assert [a for _, a, _ in tracer.RUNNER_SPANS if not called[a]] == []
+    assert [s for _, _, s in tracer.RUNNER_SPANS if not spans.calls[s]] == []
 
 
 def test_recorder_sees_every_trial():

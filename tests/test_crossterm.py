@@ -6,7 +6,7 @@ import pytest
 from ncsync import (ChannelRealization, FrameSpec, SubcarrierMap, SymbolGrid,
                     TimeSignal, apply_multipath, build_frame, generate_preamble,
                     modulate_symbol, random_data_symbol)
-from ncsync.crossterm import (b_closed_form, b_direct, b_multipath, decompose,
+from ncsync.crossterm import (b_closed_form, b_direct, decompose,
                               g_cross_from_b, notched_map, q_cross_from_b,
                               relative_cross_power, tone_g, tone_q)
 from ncsync.metrics import compute_trace
@@ -158,20 +158,6 @@ def test_decomposition_sums_to_the_full_correlations(notch_spec):
         qc = q_cross_from_b(y, f, nu, sigma_i, phi, n, N_FFT)
         assert rel_err(gc, rec.g_cross) < 1e-10
         assert rel_err(qc, rec.q_cross) < 1e-10
-
-
-def test_multipath_b_is_a_phased_tap_sum(notch_spec):
-    rng = np.random.default_rng(101)
-    column = random_data_symbol(notch_spec, rng)
-    taps = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / 3.0
-    taps[3] = 0.0  # zero taps must simply drop out
-    sym = padded_symbol(column, notch_spec)
-    y = apply_multipath(sym, ChannelRealization(taps))
-    f, nu = 25.1, -0.4
-    for n in (-50, 0, 100, 200):
-        direct = b_direct(y, f, nu, n, N_FFT)
-        phased = b_multipath(column, taps, f, nu, n, notch_spec)
-        assert abs(direct - phased) < REL_TOL * max(1.0, abs(direct))
 
 
 def test_notched_map_widths():

@@ -21,6 +21,10 @@ def preamble_frame(spec, bits):
     return build_frame(grid)
 
 
+def response(ch, spec):
+    return ch.freq_response(spec.smap.even_occupied(), spec.n_fft)
+
+
 def test_classification_thresholds_are_strict():
     assert classify(sync_at(33), 0.0, N_CP).is_sync_error
     assert classify(sync_at(-33), 0.0, N_CP).is_sync_error
@@ -69,7 +73,7 @@ def test_ber_zero_on_perfect_sync(main_spec):
     bits = rng.integers(0, 2, size=158)
     frame = preamble_frame(spec, bits)
     flat = ChannelRealization(np.array([1.0]))
-    errs, total = ber_preamble(frame, sync_at(0), flat, bits, spec)
+    errs, total = ber_preamble(frame, sync_at(0), response(flat, spec), bits, spec)
     assert (errs, total) == (0, 158)
 
 
@@ -82,7 +86,7 @@ def test_ber_zero_for_timing_offsets_inside_cp(main_spec):
     frame = preamble_frame(spec, bits)
     flat = ChannelRealization(np.array([1.0]))
     for offset in (-32, -17, 0):
-        errs, total = ber_preamble(frame, sync_at(offset), flat, bits, spec)
+        errs, total = ber_preamble(frame, sync_at(offset), response(flat, spec), bits, spec)
         assert (errs, total) == (0, 158), f"offset {offset}"
 
 
@@ -95,7 +99,7 @@ def test_ber_is_half_on_pure_noise(main_spec):
         bits = rng.integers(0, 2, size=158)
         noise = TimeSignal(rng.standard_normal(2 * spec.total_len).view(np.complex128),
                            origin=spec.n_empty_prefix * spec.symbol_len + spec.n_cp)
-        e, t = ber_preamble(noise, sync_at(0), flat, bits, spec)
+        e, t = ber_preamble(noise, sync_at(0), response(flat, spec), bits, spec)
         errors += e
         total += t
     assert total >= 10_000
@@ -113,7 +117,7 @@ def test_ber_skips_bins_the_channel_nulls():
 
     received = apply_multipath(frame, ch)
     with pytest.warns(RuntimeWarning, match="zero channel response"):
-        errs, total = ber_preamble(received, sync_at(0), ch, bits, spec)
+        errs, total = ber_preamble(received, sync_at(0), response(ch, spec), bits, spec)
     assert total == 2  # only the k = 2 bin survives equalization
     assert errs == 0
 
@@ -123,5 +127,17 @@ def test_ber_rejects_wrong_bit_count(main_spec):
     spec = FrameSpec(smap=main_spec.smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
     frame = preamble_frame(spec, rng.integers(0, 2, size=158))
     with pytest.raises(ValueError):
-        ber_preamble(frame, sync_at(0), ChannelRealization(np.array([1.0])),
+        ber_preamble(frame, sync_at(0), response(ChannelRealization(np.array([1.0])), spec),
                      np.zeros(10, dtype=int), spec)
+
+
+def test_ber_rejects_a_response_not_one_per_preamble_bin(main_spec):
+    rng = np.random.default_rng(79)
+    spec = FrameSpec(smap=main_spec.smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
+    bits = rng.integers(0, 2, size=158)
+    frame = preamble_frame(spec, bits)
+    # the response over every occupied bin, not only the even ones
+    h_all = ChannelRealization(np.array([1.0])).freq_response(
+        spec.smap.occupied_array(), spec.n_fft)
+    with pytest.raises(ValueError, match="one per preamble bin"):
+        ber_preamble(frame, sync_at(0), h_all, bits, spec)

@@ -201,14 +201,8 @@ def test_random_data_symbol_support(main_spec):
     assert np.all(column[mask] == 0)
 
 
-def test_grid_rejects_energy_outside_map():
+def test_grid_rejects_wrong_shape():
     spec = small_spec()
-    grid = SymbolGrid(spec)
-    bad = np.zeros(16, dtype=complex)
-    bad[0] = 1.0  # k = -8 is not occupied
-    with pytest.raises(ValueError):
-        grid.set_symbol(0, bad)
-    grid.set_symbol(0, np.ones(4), ks=spec.smap.occupied_array())
     with pytest.raises(ValueError):
         SymbolGrid(spec, data=np.zeros((3, 16)))
 

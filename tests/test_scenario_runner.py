@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import ncsync.runner
 from ncsync.runner import (emit_trace, run_nbi_bandwidth_sweep, run_scenario,
                            run_trial, trial_rng, write_csv, _fmt)
 from ncsync.scenario import (Scenario, ScenarioError, load, parse_scenario,
@@ -198,6 +199,25 @@ def test_bandwidth_sweep_carson_floor():
     assert all(row["bandwidth_hz"] == 2002.0 for row in rows)
     assert list(rows[0]) == ["bandwidth_hz", "sir_db", "algorithm",
                              "p_sync_error", "ci95_halfwidth", "n_trials"]
+
+
+def test_every_entry_point_rejects_fewer_than_one_trial():
+    sc = load("quick_demo")
+    with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
+        run_scenario(sc, trials=0)
+    with pytest.raises(ValueError, match="trial count must be >= 1, got -2"):
+        run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), trials=-2)
+    with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
+        emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=0)
+
+
+def test_bandwidth_sweep_checks_every_bandwidth_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="Carson"):
+        run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"),
+                                bandwidths_hz=(10000, 20000, 1000))
+    assert calls == []
 
 
 def test_csv_formatting(tmp_path):

@@ -354,6 +354,25 @@ def test_detect_errors():
         detect(empty, mode="sc")
 
 
+@pytest.mark.parametrize("mode", ["sc", "nirs"])
+@pytest.mark.parametrize("timing_rule", ["argmax", "midpoint90"])
+@pytest.mark.parametrize("where", ["nan_metric", "inf_metric", "nan_numerator"])
+def test_detect_rejects_a_non_finite_peak(mode, timing_rule, where):
+    metric = np.array([0.1, 0.2, 0.9, 0.3, 0.1, 0.1])
+    num = np.full(6, np.exp(0.3j))
+    tr = MetricTrace(n=np.arange(6), g=num, m=np.ones(6), metric_sc=metric,
+                     q=num, g_nirs=num, metric_nirs=metric)
+    assert detect(tr, mode=mode, timing_rule=timing_rule).n_hat == 2
+    if where == "nan_metric":
+        metric[1] = np.nan  # argmax stops at the first NaN, before the peak
+    elif where == "inf_metric":
+        metric[4] = np.inf
+    else:
+        num[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        detect(tr, mode=mode, timing_rule=timing_rule)
+
+
 def test_cfo_estimate_stays_in_range():
     rng = np.random.default_rng(53)
     for _ in range(20):
