@@ -40,10 +40,6 @@ class ChannelRealization:
             raise ValueError("taps must be a non-empty 1-D array")
         object.__setattr__(self, "taps", taps)
 
-    @property
-    def n_taps(self) -> int:
-        return self.taps.size
-
     def freq_response(self, ks, n_fft: int) -> np.ndarray:
         """H(k) = sum_l h[l] exp(-j 2 pi k l / N) at centered bin indices ks."""
         ks = np.asarray(ks, dtype=np.float64)
@@ -58,6 +54,16 @@ def _dft_kernel(ks_bytes: bytes, n_taps: int, n_fft: int) -> np.ndarray:
     kernel = np.exp(-2j * np.pi * np.outer(ks, np.arange(n_taps)) / n_fft)
     kernel.flags.writeable = False
     return kernel
+
+
+def carson_deviation_hz(bandwidth_hz: float, f_m_hz: float) -> float:
+    """Peak FM deviation for an occupied bandwidth by Carson's rule,
+    bandwidth = 2 (delta_f + f_m).  Raises ValueError at or below 2 f_m,
+    where no positive deviation fits."""
+    if bandwidth_hz <= 2.0 * f_m_hz:
+        raise ValueError(f"bandwidth {bandwidth_hz} Hz <= Carson floor "
+                         f"2*f_m = {2 * f_m_hz} Hz")
+    return bandwidth_hz / 2.0 - f_m_hz
 
 
 @dataclass(frozen=True)
@@ -91,20 +97,12 @@ class NbiSpec:
         if self.kind == "fm_wideband":
             if self.f_m_hz <= 0:
                 raise ValueError("fm_wideband requires positive f_m_hz")
-            if self.bandwidth_hz <= 2 * self.f_m_hz:
-                raise ValueError("fm_wideband requires bandwidth_hz > 2 * f_m_hz")
+            carson_deviation_hz(self.bandwidth_hz, self.f_m_hz)
 
     @property
     def f_total(self) -> float:
         """Carrier position including the Hz offset, in subcarrier spacings."""
         return self.f_c + self.freq_offset_hz / self.sc_spacing_hz
-
-    def carson_bandwidth_hz(self) -> float:
-        if self.kind == "ideal_tone":
-            return 0.0
-        if self.kind == "fm_wideband":
-            return self.bandwidth_hz
-        return 2.0 * (self.delta_f_hz + self.f_m_hz)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
     phase = 2.0 * np.pi * spec.f_total * n / n_fft + spec.phase0
     if spec.kind != "ideal_tone":
         if spec.kind == "fm_wideband":
-            delta_f = spec.bandwidth_hz / 2.0 - spec.f_m_hz
+            delta_f = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz)
         else:
             delta_f = spec.delta_f_hz
         beta = delta_f / spec.f_m_hz

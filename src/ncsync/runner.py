@@ -24,7 +24,8 @@ from . import __version__
 from .detect import SyncResult, detect
 from .evaluate import TrialOutcome, aggregate, ber_preamble, classify
 from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipath,
-                          calibrate_and_mix, draw_channel_cost207tu, gen_nbi)
+                          calibrate_and_mix, carson_deviation_hz,
+                          draw_channel_cost207tu, gen_nbi)
 from .metrics import MetricTrace, compute_trace
 from .ofdm import SymbolGrid, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
@@ -173,21 +174,22 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     """Sweep the FM interferer's occupied bandwidth at fixed SNR.
 
     The deviation follows from Carson's rule, delta_f = bandwidth/2 - f_m, so
-    bandwidths at or below 2 f_m are rejected, before any trial runs.  The
-    scenario's own grid/kind are overridden: the interferer is single-tone FM
-    at each bandwidth.
+    bandwidths at or below 2 f_m are rejected.  They, and an empty bandwidth
+    or SIR list, are rejected before any trial runs.  The scenario's own
+    grid/kind are overridden: the interferer is single-tone FM at each
+    bandwidth.
     """
     bandwidths = tuple(bandwidths_hz if bandwidths_hz is not None
                        else sc.sweep_bandwidths_hz)
     if not bandwidths:
         raise ValueError("no bandwidths given (flag or [sweep] bandwidths_hz)")
     sirs = tuple(sir_list if sir_list is not None else sc.sir_grid)
-    f_m = sc.nbi_f_m_hz
+    if not sirs:
+        raise ValueError("no SIR values given (sir_list or [grid] sir_db)")
     plan = []
     for bw in bandwidths:
-        if bw <= 2.0 * f_m:
-            raise ValueError(f"bandwidth {bw} Hz <= Carson floor 2*f_m = {2 * f_m} Hz")
-        sweep_sc = replace(sc, nbi_kind="fm_carson", nbi_delta_f_hz=bw / 2.0 - f_m)
+        sweep_sc = replace(sc, nbi_kind="fm_carson",
+                           nbi_delta_f_hz=carson_deviation_hz(bw, sc.nbi_f_m_hz))
         plan += [(f"bw={bw!r}|snr={snr_db!r}|sir={sir_db!r}", sweep_sc, snr_db, sir_db,
                   {"bandwidth_hz": bw, "sir_db": sir_db}) for sir_db in sirs]
     return _run_plan(sc, plan, SWEEP_COLUMNS, trials, seed, out_dir,
@@ -202,38 +204,54 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
     Single-trial mode emits the full per-window record of one realization;
     percentile mode re-runs n_frames realizations and emits per-index
     10th/50th/90th percentiles of both timing metrics.  Returns (rows,
-    filename).
+    filename); rows hold Python ints and floats.
     """
+    if trial < 0:
+        raise ValueError(f"trial index must be >= 0, got {trial}")
+    if "nirs" not in sc.algorithms:
+        raise ValueError("a trace dump needs nirs in [sync] algorithms")
     n_trials = _check_trials(n_frames if percentiles else 1)
     cell_key = f"trace|snr={snr_db!r}|sir={sir_db!r}"
-    sc_stack, nirs_stack = [], []
-    for t in (range(n_frames) if percentiles else [trial]):
-        tr = run_trial(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, t),
-                       keep_trace=True).trace
-        sc_stack.append(tr.metric_sc)
-        nirs_stack.append(tr.metric_nirs)
     if percentiles:
-        sc_q = np.percentile(np.vstack(sc_stack), [10, 50, 90], axis=0)
-        nirs_q = np.percentile(np.vstack(nirs_stack), [10, 50, 90], axis=0)
-        rows = [{"n": int(n),
-                 "metric_sc_p10": sc_q[0, i], "metric_sc_p50": sc_q[1, i],
-                 "metric_sc_p90": sc_q[2, i],
-                 "metric_nirs_p10": nirs_q[0, i], "metric_nirs_p50": nirs_q[1, i],
-                 "metric_nirs_p90": nirs_q[2, i]}
-                for i, n in enumerate(tr.n)]
+        stack = None
+        for t in range(n_frames):
+            tr = run_trial(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, t),
+                           keep_trace=True).trace
+            if stack is None:
+                stack = np.empty((2, n_frames, len(tr)))
+            stack[0, t] = tr.metric_sc
+            stack[1, t] = tr.metric_nirs
+        q = _frame_percentiles(stack)
+        columns = {"n": tr.n}
+        for a, algo in enumerate(("sc", "nirs")):
+            for p, pct in enumerate((10, 50, 90)):
+                columns[f"metric_{algo}_p{pct}"] = q[p, a]
         fname = "trace_percentiles.csv"
     else:
-        rows = [{"n": int(n),
-                 "g_re": tr.g[i].real, "g_im": tr.g[i].imag,
-                 "m": tr.m[i],
-                 "q_re": tr.q[i].real, "q_im": tr.q[i].imag,
-                 "g_nirs_re": tr.g_nirs[i].real, "g_nirs_im": tr.g_nirs[i].imag,
-                 "metric_sc": tr.metric_sc[i],
-                 "metric_nirs": tr.metric_nirs[i]}
-                for i, n in enumerate(tr.n)]
+        tr = run_trial(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, trial),
+                       keep_trace=True).trace
+        columns = {"n": tr.n, "g_re": tr.g.real, "g_im": tr.g.imag, "m": tr.m,
+                   "q_re": tr.q.real, "q_im": tr.q.imag,
+                   "g_nirs_re": tr.g_nirs.real, "g_nirs_im": tr.g_nirs.imag,
+                   "metric_sc": tr.metric_sc, "metric_nirs": tr.metric_nirs}
         fname = "trace.csv"
+    names = tuple(columns)
+    rows = [dict(zip(names, values))
+            for values in zip(*(col.tolist() for col in columns.values()))]
     _write_outputs(out_dir, fname, rows, sc, sc.master_seed, n_trials)
     return rows, fname
+
+
+def _frame_percentiles(stack: np.ndarray) -> np.ndarray:
+    """10th/50th/90th percentiles, indexed (percentile, metric, window), of a
+    (metric, frame, window) stack, which is sorted in place.
+
+    Percentiles read only order statistics, so sorting first changes no bit
+    of them (metrics never hold a -0.0 to swap with a tied 0.0), and on
+    sorted columns numpy's partition is a linear pass with no copy.
+    """
+    stack.sort(axis=1)
+    return np.percentile(stack, [10, 50, 90], axis=1, overwrite_input=True)
 
 
 def _fmt(value) -> str:

@@ -32,6 +32,14 @@ def test_trace_command(tmp_path, capsys):
     assert rc == 2
 
 
+def test_trace_command_names_a_negative_trial_index(tmp_path, capsys):
+    rc = main(["trace", "quick_demo", "--cell", "20,0", "--trial", "-1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: trial index must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_sweep_command(tmp_path):
     rc = main(["sweep-bandwidth", "nbi_bandwidth_sweep", "--bandwidths", "4000",
                "--trials", "2", "--out", str(tmp_path)])

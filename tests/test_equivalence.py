@@ -6,12 +6,15 @@ these identities rather than of the preset seeds they happen to use.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ncsync import (FrameSpec, SubcarrierMap, SymbolGrid, build_frame, map_qpsk,
                     modulate_symbol, random_data_symbol)
 from ncsync.detect import _plateau_midpoint
+from ncsync.runner import _frame_percentiles, emit_trace, run_trial, trial_rng, write_csv
+from ncsync.scenario import load
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -109,3 +112,80 @@ def test_data_symbol_stack_equals_per_symbol_draws(spec, count, seed):
     single = random_data_symbol(spec, stack_rng)
     assert single.shape == (spec.n_fft,)
     assert single.tobytes() == loop_random_data_symbol(spec, loop_rng).tobytes()
+
+
+TRACE_SCENARIO, TRACE_CELL = "sync_error_fm_28k", (20.0, 0.0)
+
+
+def cell_traces(sc, trials):
+    """The traces emit_trace reduces, drawn with its cell key."""
+    key = f"trace|snr={TRACE_CELL[0]!r}|sir={TRACE_CELL[1]!r}"
+    return [run_trial(sc, *TRACE_CELL, trial_rng(sc.master_seed, key, t),
+                      keep_trace=True).trace for t in trials]
+
+
+def stacked_percentile_rows(traces):
+    """Percentile rows as built from per-frame lists and one np.vstack each."""
+    sc_q = np.percentile(np.vstack([tr.metric_sc for tr in traces]), [10, 50, 90], axis=0)
+    nirs_q = np.percentile(np.vstack([tr.metric_nirs for tr in traces]),
+                           [10, 50, 90], axis=0)
+    return [{"n": int(n),
+             "metric_sc_p10": sc_q[0, i], "metric_sc_p50": sc_q[1, i],
+             "metric_sc_p90": sc_q[2, i],
+             "metric_nirs_p10": nirs_q[0, i], "metric_nirs_p50": nirs_q[1, i],
+             "metric_nirs_p90": nirs_q[2, i]}
+            for i, n in enumerate(traces[-1].n)]
+
+
+def per_window_rows(tr):
+    """Single-trace rows as built by indexing the trace one window at a time."""
+    return [{"n": int(n),
+             "g_re": tr.g[i].real, "g_im": tr.g[i].imag,
+             "m": tr.m[i],
+             "q_re": tr.q[i].real, "q_im": tr.q[i].imag,
+             "g_nirs_re": tr.g_nirs[i].real, "g_nirs_im": tr.g_nirs[i].imag,
+             "metric_sc": tr.metric_sc[i],
+             "metric_nirs": tr.metric_nirs[i]}
+            for i, n in enumerate(tr.n)]
+
+
+def assert_same_rows(got, want, tmp_path):
+    """Equal by ==, bit for bit (signed zeros included), and as CSV bytes."""
+    assert got == want
+    assert all(type(v) in (int, float) for row in got for v in row.values())
+    assert np.array([list(r.values()) for r in got], dtype=np.float64).tobytes() == \
+        np.array([list(r.values()) for r in want], dtype=np.float64).tobytes()
+    write_csv(tmp_path / "got.csv", got)
+    write_csv(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 12, 37])
+def test_percentile_rows_equal_the_stacked_reduction(n_frames, tmp_path):
+    sc = load(TRACE_SCENARIO)
+    rows, _ = emit_trace(sc, *TRACE_CELL, percentiles=True, n_frames=n_frames)
+    assert_same_rows(rows, stacked_percentile_rows(cell_traces(sc, range(n_frames))),
+                     tmp_path)
+
+
+def test_single_trace_rows_equal_the_per_window_dicts(tmp_path):
+    sc = load(TRACE_SCENARIO)
+    rows, _ = emit_trace(sc, *TRACE_CELL, trial=1)
+    assert_same_rows(rows, per_window_rows(cell_traces(sc, [1])[0]), tmp_path)
+
+
+# Ties, exact zeros, and magnitudes across the double range, of either sign.
+# No -0.0: it ties with 0.0 under sorting, so which zero reaches an order
+# statistic depends on the algorithm; a metric is |num|^2 / M^2 or +0.0.
+stack_elements = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                           st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.just(2), st.integers(1, 40), st.integers(1, 12)),
+                  elements=stack_elements))
+def test_sorted_stack_percentiles_equal_the_unsorted_ones(stack):
+    want = [np.percentile(stack[k], [10, 50, 90], axis=0) for k in range(2)]
+    got = _frame_percentiles(stack.copy())
+    for k in range(2):
+        assert got[:, k].tobytes() == want[k].tobytes()

@@ -6,7 +6,7 @@ import pytest
 from ncsync import (ChannelRealization, MixSpec, NbiSpec, TimeSignal, apply_cfo,
                     apply_multipath, calibrate_and_mix, draw_channel_cost207tu,
                     gen_nbi)
-from ncsync.impairments import mean_power
+from ncsync.impairments import carson_deviation_hz, mean_power
 
 EXACT_TOL = 1e-12
 RATIO_TOL = 1e-9
@@ -120,11 +120,12 @@ def test_fm_with_vanishing_deviation_is_a_tone():
 
 
 def test_carson_bandwidth_values():
-    fm = NbiSpec(kind="fm_carson", f_c=24.5, f_m_hz=1e3, delta_f_hz=13e3)
-    assert fm.carson_bandwidth_hz() == pytest.approx(28e3)
-    assert NbiSpec(kind="ideal_tone", f_c=0.0).carson_bandwidth_hz() == 0.0
-    wide = NbiSpec(kind="fm_wideband", f_c=24.5, bandwidth_hz=200e3)
-    assert wide.carson_bandwidth_hz() == pytest.approx(200e3)
+    # 28 kHz at a 1 kHz message is sync_error_fm_28k's 13 kHz deviation
+    assert carson_deviation_hz(28e3, 1e3) == 13e3
+    assert carson_deviation_hz(200e3, 1e3) == 99e3
+    for bandwidth in (2e3, 1e3):
+        with pytest.raises(ValueError, match="Carson"):
+            carson_deviation_hz(bandwidth, 1e3)
 
 
 def test_nbi_spec_validation():
@@ -225,7 +226,7 @@ def test_urban_channel_profile():
     tap_sum = np.zeros(20, dtype=np.complex128)
     for _ in range(n_draws):
         ch = draw_channel_cost207tu(rng, FS)
-        assert ch.n_taps == 20  # last tap at 5.0 us * 3.84 MHz = 19 samples
+        assert ch.taps.size == 20  # last tap at 5.0 us * 3.84 MHz = 19 samples
         nz = np.nonzero(ch.taps)[0]
         assert set(nz) <= {0, 1, 2, 6, 9, 19}
         total += np.sum(np.abs(ch.taps) ** 2)
@@ -244,7 +245,7 @@ def test_urban_channel_delay_quantization():
     rng = np.random.default_rng(13)
     # at a coarser sample rate several profile delays collapse onto one tap
     ch = draw_channel_cost207tu(rng, 1e6)
-    assert ch.n_taps == 6  # delays round to {0, 0, 0, 2, 2, 5}
+    assert ch.taps.size == 6  # delays round to {0, 0, 0, 2, 2, 5}
     assert set(np.nonzero(ch.taps)[0]) <= {0, 2, 5}
     with pytest.raises(ValueError):
         draw_channel_cost207tu(rng, 0.0)

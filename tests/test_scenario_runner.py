@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_every_entry_point_rejects_fewer_than_one_trial():
         run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), trials=-2)
     with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
         emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=0)
+
+
+def test_bad_trace_and_sweep_inputs_fail_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "run_trial", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
+    sc = load("quick_demo")
+    with pytest.raises(ValueError, match="trial index must be >= 0, got -1"):
+        emit_trace(sc, 20.0, 0.0, trial=-1)
+    for percentiles in (False, True):
+        with pytest.raises(ValueError, match="needs nirs"):
+            emit_trace(replace(sc, algorithms=("sc",)), 20.0, 0.0, percentiles=percentiles)
+    with pytest.raises(ValueError, match="no SIR values"):
+        run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), sir_list=())
+    assert calls == []
 
 
 def test_bandwidth_sweep_checks_every_bandwidth_before_any_trial(monkeypatch):
