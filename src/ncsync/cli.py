@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossterm import (b_closed_form, b_direct, decompose, g_cross_from_b,
-                        notched_map, q_cross_from_b, relative_cross_power)
-from .impairments import ChannelRealization, apply_multipath
+from .crossterm import (CFO_MAX, N_CP, N_FFT, NBI_CENTER, b_closed_form, b_direct,
+                        decompose, g_cross_from_b, notched_map, q_cross_from_b,
+                        relative_cross_power)
+from .impairments import ChannelRealization, NbiSpec, apply_multipath, gen_nbi
 from .ofdm import (FrameSpec, SymbolGrid, TimeSignal, build_frame,
                    generate_preamble, modulate_symbol, random_data_symbol)
 from .runner import emit_trace, run_nbi_bandwidth_sweep, run_scenario, write_csv
@@ -75,9 +76,8 @@ def _cmd_count_ops(args) -> int:
 def _cmd_validate_appendix(args) -> int:
     """Numerical self-checks of the closed-form machinery, plus the notch study."""
     rng = np.random.default_rng(args.seed)
-    n_fft, n_cp = 256, 32
-    smap = notched_map(n_fft, 42)
-    spec = FrameSpec(smap=smap, n_cp=n_cp, n_symbols=1, n_empty_prefix=0)
+    smap = notched_map(N_FFT, 42)
+    spec = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=1)
     failures = 0
 
     # Closed-form agreement over all three window cases.
@@ -85,14 +85,14 @@ def _cmd_validate_appendix(args) -> int:
     for _ in range(args.grids):
         col = generate_preamble(spec, rng)
         sym = modulate_symbol(col, spec)
-        pad = n_fft
+        pad = N_FFT
         buf = np.zeros(2 * pad + len(sym), dtype=complex)
         buf[pad : pad + len(sym)] = sym.samples
-        y = TimeSignal(buf, origin=pad + n_cp)
-        f = 24.5 + rng.uniform(-1, 1)
-        nu = rng.uniform(-0.7, 0.7)
-        for n in rng.integers(-n_fft // 2 - n_cp + 1, n_fft, size=12):
-            bd = b_direct(y, f, nu, int(n), n_fft)
+        y = TimeSignal(buf, origin=pad + N_CP)
+        f = NBI_CENTER + rng.uniform(-1, 1)
+        nu = rng.uniform(-CFO_MAX, CFO_MAX)
+        for n in rng.integers(-N_FFT // 2 - N_CP + 1, N_FFT, size=12):
+            bd = b_direct(y, f, nu, int(n), N_FFT)
             bc = b_closed_form(col, f, nu, int(n), spec)
             worst = max(worst, abs(bd - bc) / max(1.0, abs(bd)))
     status = "PASS" if worst < 1e-9 else "FAIL"
@@ -102,25 +102,23 @@ def _cmd_validate_appendix(args) -> int:
 
     # Exact decomposition of G and Q over signal + tone mixtures.
     worst = 0.0
-    spec_m = FrameSpec(smap=smap, n_cp=n_cp, n_symbols=4, n_empty_prefix=0)
+    spec_m = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=4)
     for _ in range(args.grids):
         grid = SymbolGrid(spec_m)
         grid.data[0] = generate_preamble(spec_m, rng)
-        for p in range(1, spec_m.n_symbols):
-            grid.data[p] = random_data_symbol(spec_m, rng)
+        grid.data[1:] = random_data_symbol(spec_m, rng, spec_m.n_symbols - 1)
         taps = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / 3.0
         y = apply_multipath(build_frame(grid), ChannelRealization(taps))
-        nu = rng.uniform(-0.7, 0.7)
-        f = 24.5 + rng.uniform(-1, 1)
+        nu = rng.uniform(-CFO_MAX, CFO_MAX)
+        f = NBI_CENTER + rng.uniform(-1, 1)
         phi = rng.uniform(0, 2 * np.pi)
         sigma_i = rng.uniform(0.2, 2.0)
-        idx = y.n_axis()
-        tone = TimeSignal(sigma_i * np.exp(1j * (2 * np.pi * f * idx / n_fft + phi)),
-                          origin=y.origin)
+        unit = gen_nbi(NbiSpec(kind="ideal_tone", f_c=f, phase0=phi), len(y), y.origin, N_FFT)
+        tone = TimeSignal(sigma_i * unit.samples, origin=y.origin)
         n = int(rng.integers(0, (spec_m.n_symbols - 1) * spec_m.symbol_len))
-        rec = decompose(y, tone, nu, n, n_fft)
-        gc = g_cross_from_b(y, f, nu, sigma_i, phi, n, n_fft)
-        qc = q_cross_from_b(y, f, nu, sigma_i, phi, n, n_fft)
+        rec = decompose(y, tone, nu, n, N_FFT)
+        gc = g_cross_from_b(y, f, nu, sigma_i, phi, n, N_FFT)
+        qc = q_cross_from_b(y, f, nu, sigma_i, phi, n, N_FFT)
         worst = max(worst,
                     abs(gc - rec.g_cross) / max(1.0, abs(rec.g_cross)),
                     abs(qc - rec.q_cross) / max(1.0, abs(rec.q_cross)))

@@ -21,11 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import apply_multipath, draw_channel_cost207tu, mean_power
+from .impairments import NbiSpec, apply_multipath, draw_channel_cost207tu, gen_nbi, \
+    mean_power
 from .ofdm import FrameSpec, SubcarrierMap, SymbolGrid, TimeSignal, build_frame, \
     generate_preamble, random_data_symbol
 
 TIMING_POSITIONS = ("optimal", "random_data")
+
+# Geometry and draws of the notch study: the main scenario's frame, with the
+# interferer and the notch both centred at NBI_CENTER subcarrier spacings, the
+# CFO uniform in +-CFO_MAX spacings and the interferer offset in
+# +-NBI_OFFSET_MAX.  Bootstrap intervals take N_BOOT resamples at CI_LEVEL.
+N_FFT, N_CP, N_SYMBOLS = 256, 32, 11
+NBI_CENTER = 24.5
+CFO_MAX = 0.7
+NBI_OFFSET_MAX = 14e3 / 15e3
+N_BOOT, CI_LEVEL = 500, 0.95
 
 # A bin is treated as singular (limit form) when k - f + nu is within this
 # fraction of a multiple of N.
@@ -183,8 +194,7 @@ def q_cross_from_b(y: TimeSignal, f: float, nu: float, sigma_i: float,
                       + (bq + bh) * np.exp(-1j * phi)))
 
 
-def notched_map(n_fft: int = 256, notch_scs: int = 0,
-                notch_center: float = 24.5) -> SubcarrierMap:
+def notched_map(n_fft: int = N_FFT, notch_scs: int = 0) -> SubcarrierMap:
     """Map with bins {-100..-1, 1..100} minus a notch around the interferer.
 
     notch_scs is the full notch width in subcarriers (even, so it brackets
@@ -195,8 +205,8 @@ def notched_map(n_fft: int = 256, notch_scs: int = 0,
         raise ValueError(f"notch width must be even and >= 0, got {notch_scs}")
     base = [k for k in range(-100, 101) if k != 0]
     if notch_scs:
-        lo = int(np.ceil(notch_center)) - notch_scs // 2
-        hi = int(np.floor(notch_center)) + notch_scs // 2
+        lo = int(np.ceil(NBI_CENTER)) - notch_scs // 2
+        hi = int(np.floor(NBI_CENTER)) + notch_scs // 2
         base = [k for k in base if not (lo <= k <= hi)]
     return SubcarrierMap(n_fft=n_fft, occupied=tuple(base))
 
@@ -214,25 +224,21 @@ class CrossPowerStats:
         """Mean cross power over mean self power (signal plus tone parts)."""
         return float(self.cross_pow.mean() / (self.y_pow.mean() + self.i_pow.mean()))
 
-    def bootstrap_ci(self, rng: np.random.Generator, n_boot: int = 500,
-                     level: float = 0.95) -> tuple[float, float]:
+    def bootstrap_ci(self, rng: np.random.Generator) -> tuple[float, float]:
         """Percentile bootstrap interval for the ratio over trials."""
         n = self.cross_pow.size
-        ratios = np.empty(n_boot)
-        for b in range(n_boot):
+        ratios = np.empty(N_BOOT)
+        for b in range(N_BOOT):
             idx = rng.integers(0, n, size=n)
             ratios[b] = self.cross_pow[idx].mean() / (
                 self.y_pow[idx].mean() + self.i_pow[idx].mean())
-        alpha = (1.0 - level) / 2.0
+        alpha = (1.0 - CI_LEVEL) / 2.0
         lo, hi = np.quantile(ratios, [alpha, 1.0 - alpha])
         return float(lo), float(hi)
 
 
 def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
-                         n_trials: int, rng: np.random.Generator,
-                         n_fft: int = 256, n_cp: int = 32, n_symbols: int = 11,
-                         f_c: float = 24.5, cfo_max: float = 0.7,
-                         nbi_offset_max: float = 14e3 / 15e3) -> CrossPowerStats:
+                         n_trials: int, rng: np.random.Generator) -> CrossPowerStats:
     """Monte-Carlo cross-term power study for one notch width.
 
     Each trial builds a preamble-led frame on the notched map, runs it through
@@ -245,8 +251,7 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
         raise ValueError(f"unknown timing {timing!r}; expected one of {TIMING_POSITIONS}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    smap = notched_map(n_fft=n_fft, notch_scs=notch_scs)
-    spec = FrameSpec(smap=smap, n_cp=n_cp, n_symbols=n_symbols, n_empty_prefix=0)
+    spec = FrameSpec(smap=notched_map(N_FFT, notch_scs), n_cp=N_CP, n_symbols=N_SYMBOLS)
     no_tone = np.isinf(sir_db)
 
     cross_pow = np.empty(n_trials)
@@ -255,23 +260,19 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
     for t in range(n_trials):
         grid = SymbolGrid(spec)
         grid.data[0] = generate_preamble(spec, rng)
-        for p in range(1, spec.n_symbols):
-            grid.data[p] = random_data_symbol(spec, rng)
-        frame = build_frame(grid)
-        ch = draw_channel_cost207tu(rng, spec.sample_rate_hz)
-        y = apply_multipath(frame, ch)
-        nu = rng.uniform(-cfo_max, cfo_max)
-        f = f_c + rng.uniform(-nbi_offset_max, nbi_offset_max)
+        grid.data[1:] = random_data_symbol(spec, rng, N_SYMBOLS - 1)
+        y = apply_multipath(build_frame(grid), draw_channel_cost207tu(rng, spec.sample_rate_hz))
+        nu = rng.uniform(-CFO_MAX, CFO_MAX)
+        f = NBI_CENTER + rng.uniform(-NBI_OFFSET_MAX, NBI_OFFSET_MAX)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         sigma_i = 0.0 if no_tone else np.sqrt(mean_power(y.samples) * 10.0 ** (-sir_db / 10.0))
-        idx = y.n_axis()
-        tone = TimeSignal(sigma_i * np.exp(1j * (2.0 * np.pi * f * idx / n_fft + phi)),
-                          origin=y.origin)
+        unit = gen_nbi(NbiSpec(kind="ideal_tone", f_c=f, phase0=phi), len(y), y.origin, N_FFT)
+        tone = TimeSignal(sigma_i * unit.samples, origin=y.origin)
         if timing == "optimal":
             n = 0
         else:
             n = int(rng.integers(spec.symbol_len, (spec.n_symbols - 1) * spec.symbol_len + 1))
-        rec = decompose(y, tone, nu, n, n_fft)
+        rec = decompose(y, tone, nu, n, N_FFT)
         cross_pow[t] = abs(rec.g_cross) ** 2
         y_pow[t] = abs(rec.g_y) ** 2
         i_pow[t] = abs(rec.g_i) ** 2

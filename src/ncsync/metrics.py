@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import TimeSignal
+from .ofdm import TimeSignal, check_n_fft
+
+MODES = ("sc", "nirs")
 
 
 @dataclass
@@ -50,22 +52,19 @@ class MetricTrace:
         return self.n.size
 
     def numerator(self, mode: str) -> np.ndarray:
-        if mode == "sc":
-            return self.g
-        if mode == "nirs":
-            if self.g_nirs is None:
-                raise ValueError("trace was computed without the NIRS branch")
-            return self.g_nirs
-        raise ValueError(f"unknown mode {mode!r}")
+        return _pick(mode, self.g, self.g_nirs)
 
     def metric(self, mode: str) -> np.ndarray:
-        if mode == "sc":
-            return self.metric_sc
-        if mode == "nirs":
-            if self.metric_nirs is None:
-                raise ValueError("trace was computed without the NIRS branch")
-            return self.metric_nirs
-        raise ValueError(f"unknown mode {mode!r}")
+        return _pick(mode, self.metric_sc, self.metric_nirs)
+
+
+def _pick(mode: str, sc: np.ndarray, nirs: np.ndarray | None) -> np.ndarray:
+    """The field of `mode`; raises for an unknown mode or a missing NIRS branch."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "nirs" and nirs is None:
+        raise ValueError("trace was computed without the NIRS branch")
+    return sc if mode == "sc" else nirs
 
 
 def nirs_numerator(g, q):
@@ -101,9 +100,11 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
 
     Window start n is valid when [n, n + N - 1] lies inside the buffer, so a
     buffer of T samples yields T - N + 1 entries.  Windows where M(n) = 0 get
-    metric 0 by convention.  Raises ValueError naming the first non-finite
-    sample, which would otherwise blank every later window's metric.
+    metric 0 by convention.  Raises ValueError for an n_fft check_n_fft
+    rejects, and names the first non-finite sample, which would otherwise
+    blank every later window's metric.
     """
+    check_n_fft(n_fft)
     s = r.samples
     half = n_fft // 2
     quarter = n_fft // 4

@@ -24,6 +24,12 @@ class UnsatisfiablePreambleError(ValueError):
     """Raised when the occupied set contains no even subcarrier index."""
 
 
+def check_n_fft(n_fft: int) -> None:
+    """Raise ValueError unless n_fft is a multiple of 4 and >= 8."""
+    if n_fft < 8 or n_fft % 4 != 0:
+        raise ValueError(f"n_fft must be a multiple of 4 and >= 8, got {n_fft}")
+
+
 @dataclass(frozen=True)
 class SubcarrierMap:
     """Occupied-subcarrier set for an NC-OFDM system.
@@ -39,8 +45,7 @@ class SubcarrierMap:
     _even: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_fft < 8 or self.n_fft % 4 != 0:
-            raise ValueError(f"n_fft must be a multiple of 4 and >= 8, got {self.n_fft}")
+        check_n_fft(self.n_fft)
         occ = tuple(int(k) for k in self.occupied)
         if len(occ) == 0:
             raise ValueError("occupied set must be non-empty")

@@ -15,11 +15,11 @@ from importlib import resources
 from pathlib import Path
 
 from .detect import TIMING_RULES
-from .impairments import NBI_KINDS, NbiSpec
+from .impairments import NbiSpec
+from .metrics import MODES
 from .ofdm import FrameSpec, SubcarrierMap
 
 CHANNEL_MODELS = ("cost207tu", "flat")
-ALGORITHMS = ("sc", "nirs")
 
 
 class ScenarioError(ValueError):
@@ -53,19 +53,21 @@ class Scenario:
         if self.channel_model not in CHANNEL_MODELS:
             raise ScenarioError(f"[channel] model must be one of {CHANNEL_MODELS}, "
                                 f"got {self.channel_model!r}")
-        if self.nbi_kind not in NBI_KINDS:
-            raise ScenarioError(f"[nbi] kind must be one of {NBI_KINDS}, got {self.nbi_kind!r}")
         if self.timing_rule not in TIMING_RULES:
             raise ScenarioError(f"[sync] timing_rule must be one of {TIMING_RULES}, "
                                 f"got {self.timing_rule!r}")
-        if not self.algorithms or any(a not in ALGORITHMS for a in self.algorithms):
-            raise ScenarioError(f"[sync] algorithms must be a non-empty subset of {ALGORITHMS}")
+        if not self.algorithms or any(a not in MODES for a in self.algorithms):
+            raise ScenarioError(f"[sync] algorithms must be a non-empty subset of {MODES}")
         if not self.snr_grid or not self.sir_grid:
             raise ScenarioError("[grid] snr_db and sir_db must be non-empty")
         if self.n_trials < 1:
             raise ScenarioError("[run] n_trials must be >= 1")
         if self.cfo_max_hz < 0 or self.nbi_offset_max_hz < 0:
             raise ScenarioError("cfo/nbi offset bounds must be >= 0")
+        try:
+            self.nbi_spec()
+        except ValueError as exc:
+            raise ScenarioError(f"[nbi] {exc}") from exc
 
     @property
     def cfo_max_norm(self) -> float:

@@ -5,9 +5,9 @@ last N - 1 samples of the stream to the chunk and evaluates every window the
 chunk completes with metrics.compute_trace, so streamed windows carry the
 batch kernel's arithmetic and the stream's sample indices.
 
-SlidingCorrelator is the paper's hardware cost model.  After a one-off direct
-summation it advances one sample at a time by retiring one term and
-admitting one term per quantity:
+SlidingCorrelator is the paper's hardware cost model.  From a zero state (the
+stream reads as zero before its first sample) it advances one sample at a
+time by retiring one term and admitting one term per quantity:
 
   G(n) = G(n-1) - p_g(n-1)            + p_g(n-1+N/2)
   M(n) = M(n-1) - |r(n-1+N/2)|^2      + |r(n-1+N)|^2
@@ -29,10 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricTrace, compute_trace
-from .ofdm import TimeSignal
-
-MODES = ("sc", "nirs")
+from .metrics import MODES, MetricTrace, compute_trace
+from .ofdm import TimeSignal, check_n_fft
 
 # Real-operation cost per counted step, keyed by mode:
 # (add_sub, mul_div, sqrt).
@@ -67,8 +65,7 @@ def model_counters(mode: str, n_samples: int) -> OpCounters:
 
 
 def _check_config(n_fft: int, mode: str) -> None:
-    if n_fft < 8 or n_fft % 4 != 0:
-        raise ValueError(f"n_fft must be a multiple of 4 and >= 8, got {n_fft}")
+    check_n_fft(n_fft)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
@@ -119,12 +116,13 @@ class StepResult:
 class SlidingCorrelator:
     """Streaming correlator: push samples in, get one window result per push.
 
-    The first N pushes warm the state by direct summation (emitting the window
-    at stream index 0, uncounted); every later push advances one window using
-    the O(1) recursions and ticks the operation counters.  mode "sc" maintains
-    only G and M; mode "nirs" adds the quarter-lag probe and the cancellation
-    step.  State is a handful of scalars and three short delay lines, so an
-    idle instance is cheap to hold or hand off.
+    The state starts from zero, as if the stream read zero before its first
+    sample, and every push advances it with the O(1) recursions.  The N-th
+    push emits the window at stream index 0, uncounted; every later push
+    emits the next window and ticks the operation counters.  mode "sc"
+    maintains only G and M; mode "nirs" adds the quarter-lag probe and the
+    cancellation step.  State is a handful of scalars and four short delay
+    lines, so an idle instance is cheap to hold or hand off.
     """
 
     def __init__(self, n_fft: int, mode: str = "nirs"):
@@ -135,13 +133,11 @@ class SlidingCorrelator:
         self.mode = mode
         self.ops = OpCounters()
         self.counted_steps = 0
-        self._warmup: list[complex] = []
         self._n_pushed = 0
-        # Live after warm-up:
-        self._samples: _Ring | None = None  # last half+1 raw samples
-        self._dl_g: _Ring | None = None     # half-lag products over [n, n+half)
-        self._dl_e: _Ring | None = None     # energies over [n+half, n+N)
-        self._dl_q: _Ring | None = None     # quarter-lag products over [n, n+3N/4)
+        self._samples = _Ring(np.zeros(self.half + 1, complex))  # last half+1 samples
+        self._dl_g = _Ring(np.zeros(self.half, complex))  # p_g over [n, n+half)
+        self._dl_e = _Ring(np.zeros(self.half))  # energies over [n+half, n+N)
+        self._dl_q = _Ring(np.zeros(3 * self.quarter, complex))  # p_q over [n, n+3N/4)
         self._g = 0.0 + 0.0j
         self._m = 0.0
         self._q = 0.0 + 0.0j
@@ -157,33 +153,14 @@ class SlidingCorrelator:
         if not cmath.isfinite(sample):
             raise _non_finite(self._n_pushed, sample)
         self._n_pushed += 1
-        if self._samples is None:
-            self._warmup.append(sample)
-            if len(self._warmup) < self.n_fft:
-                return None
-            return self._init_from_warmup()
-        return self._step(sample)
+        window_start = self._n_pushed - self.n_fft
+        # Filling the window and emitting window 0 are free.
+        ops = self.ops if window_start > 0 else OpCounters()
+        self.counted_steps += window_start > 0
+        self._step(sample, ops)
+        return None if window_start < 0 else self._emit(window_start, ops)
 
-    def _init_from_warmup(self) -> StepResult:
-        x = np.asarray(self._warmup, dtype=np.complex128)
-        self._warmup = []
-        half, quarter = self.half, self.quarter
-        gp = np.conj(x[:half]) * x[half:]
-        self._g = complex(gp.sum())
-        self._dl_g = _Ring(gp)
-        en = np.abs(x[half:]) ** 2
-        self._m = float(en.sum())
-        self._dl_e = _Ring(en)
-        if self.mode == "nirs":
-            qp = np.conj(x[: 3 * quarter]) * x[quarter:]
-            self._q = complex(qp[:quarter].sum() + 2.0 * qp[quarter : 2 * quarter].sum()
-                              + qp[2 * quarter :].sum()) * 0.5
-            self._dl_q = _Ring(qp)
-        self._samples = _Ring(x[half - 1 :])  # last half+1 samples
-        return self._emit(0, count=False)
-
-    def _step(self, s_t: complex) -> StepResult:
-        ops = self.ops
+    def _step(self, s_t: complex, ops: OpCounters) -> None:
         self._samples.push(s_t)
         # Ring now spans [t - half, t]; oldest element is r(t - half).
         s_lag_half = self._samples.peek(0)
@@ -211,11 +188,7 @@ class SlidingCorrelator:
             self._q = self._q + 0.5 * ((new_qp - p1) + (p3 - p2))
             ops.tally(add=8, mul=2)
 
-        self.counted_steps += 1
-        return self._emit(self._n_pushed - self.n_fft, count=True)
-
-    def _emit(self, window_start: int, count: bool) -> StepResult:
-        ops = self.ops if count else OpCounters()
+    def _emit(self, window_start: int, ops: OpCounters) -> StepResult:
         g, m = self._g, self._m
         if self.mode == "nirs":
             q = self._q
@@ -278,18 +251,14 @@ class ChunkCorrelator:
         chunk = np.asarray(chunk, dtype=np.complex128)
         if chunk.ndim != 1:
             raise ValueError(f"chunk must be one-dimensional, got shape {chunk.shape}")
+        # The carried samples passed this check when they arrived.
+        _check_finite(chunk, self._n_pushed)
         start = self._n_pushed - self._tail.size  # stream index of buf[0]
         buf = np.concatenate((self._tail, chunk)) if self._tail.size else chunk
         trace = None
-        if buf.size < self.n_fft:
-            _check_finite(chunk, self._n_pushed)
-        else:
-            try:
-                trace = compute_trace(TimeSignal(buf, origin=-start), self.n_fft,
-                                      with_nirs=self.mode == "nirs")
-            except ValueError:
-                _check_finite(buf, start)
-                raise
+        if buf.size >= self.n_fft:
+            trace = compute_trace(TimeSignal(buf, origin=-start), self.n_fft,
+                                  with_nirs=self.mode == "nirs")
         self._tail = buf[1 - self.n_fft:].copy()
         self._n_pushed += chunk.size
         return trace

@@ -188,5 +188,5 @@ def test_wider_notch_leaves_less_cross_power():
     open_map = relative_cross_power(0, 0.0, "optimal", 80, rng)
     notched = relative_cross_power(42, 0.0, "optimal", 80, rng)
     assert notched.ratio < open_map.ratio
-    lo, hi = open_map.bootstrap_ci(rng, n_boot=200)
+    lo, hi = open_map.bootstrap_ci(rng)
     assert lo <= open_map.ratio <= hi

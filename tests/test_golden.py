@@ -1,4 +1,4 @@
-"""Golden outputs: SHA-256 of every CSV the runner writes, at fixed seeds.
+"""Golden outputs: SHA-256 of every CSV the package writes, at fixed seeds.
 
 The hashes pin today's output bytes, so a change meant to be a pure speed-up
 or refactor must leave them alone.  Results alone are not enough: a change to
@@ -16,6 +16,7 @@ To re-take them after a deliberate output change, run
 and paste the printed table here, with the reason in CHANGES.md.
 """
 
+import contextlib
 import hashlib
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncsync.cli import main
 from ncsync.runner import emit_trace, run_nbi_bandwidth_sweep, run_scenario
 from ncsync.scenario import load
 
@@ -47,6 +49,8 @@ GOLDEN = {
         "b0681084ab7493f8614b7a98ef0d19a975df860f6ee136db6588c9f832583e5a",
     "trace_pct_200/trace_percentiles.csv":
         "72ab72c3c329cf038b9c597d6d901346a7264d7b17c76fe79a04e58f9eafdf92",
+    "validate_appendix/notch_study.csv":
+        "b325440d7b53f8a101100efb0c079d84efedd1e8e5ab64dffa3787b52bd207ff",
 }
 
 MC_PRESETS = ("sync_error_ideal_tone", "sync_error_fm_28k", "sync_error_wideband_fm")
@@ -73,6 +77,10 @@ def _produce(name: str, out: Path) -> Path:
     elif job in PCT_FRAMES:
         emit_trace(load(TRACE_SCENARIO), *TRACE_CELL, percentiles=True,
                    n_frames=PCT_FRAMES[job], out_dir=out)
+    elif job == "validate_appendix":
+        with contextlib.redirect_stdout(sys.stderr):  # keep __main__'s table clean
+            assert main(["validate-appendix", "--trials", "40", "--grids", "3",
+                         "--out", str(out)]) == 0
     else:
         raise KeyError(name)
     return out / fname
@@ -84,7 +92,8 @@ def _sha256(path: Path) -> str:
 
 NAMES = (["quick_demo/results.csv"] + [f"{p}/results.csv" for p in MC_PRESETS]
          + ["nbi_bandwidth_sweep/bandwidth_sweep.csv", "trace/trace.csv",
-            "trace_pct/trace_percentiles.csv", "trace_pct_200/trace_percentiles.csv"])
+            "trace_pct/trace_percentiles.csv", "trace_pct_200/trace_percentiles.csv",
+            "validate_appendix/notch_study.csv"])
 
 
 @pytest.mark.parametrize("name", NAMES)

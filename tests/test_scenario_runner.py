@@ -82,6 +82,18 @@ def test_parse_rejects_bad_values():
         parse_scenario("not an ini [at all")
 
 
+@pytest.mark.parametrize("nbi", [
+    "kind = fm_wideband\nbandwidth_hz = 1500\nf_m_hz = 1000",
+    "kind = fm_carson\nf_m_hz = 0",
+    "kind = fm_carson\ndelta_f_hz = 0",
+], ids=["wideband_under_carson_floor", "carson_zero_f_m", "carson_zero_delta_f"])
+def test_a_bad_nbi_section_fails_at_load(nbi):
+    with pytest.raises(ScenarioError, match=r"^\[nbi\] "):
+        parse_scenario(CLEAN_INI.replace("kind = ideal_tone", nbi))
+    for name in preset_names():
+        load(name)
+
+
 def test_preset_inventory():
     assert preset_names() == ["nbi_bandwidth_sweep", "quick_demo",
                               "sync_error_fm_28k", "sync_error_ideal_tone",

@@ -165,6 +165,39 @@ def test_streaming_input_validation():
     assert corr.counted_steps == 0  # warm-up emission is free
 
 
+@pytest.mark.parametrize("n_fft", [4, 6, 10, 255])
+def test_compute_trace_rejects_a_bad_n_fft(n_fft):
+    # Unchecked, 6 and 10 would give a trace with a wrong Q, 255 a broadcast error.
+    sig = TimeSignal(np.ones(600, dtype=complex), origin=0)
+    for with_nirs in (True, False):
+        with pytest.raises(ValueError,
+                           match=rf"n_fft must be a multiple of 4 and >= 8, got {n_fft}$"):
+            compute_trace(sig, n_fft, with_nirs=with_nirs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_fft=st.sampled_from([8, 16, 32]), mode=st.sampled_from(MODES),
+       extra=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
+def test_sliding_correlator_matches_the_batch_trace(n_fft, mode, extra, seed):
+    """From its zero state the per-sample model agrees with compute_trace at
+    every window, window 0 included, and counts every window after the first."""
+    x = np.random.default_rng(seed).standard_normal(2 * (n_fft + extra)).view(np.complex128)
+    corr = SlidingCorrelator(n_fft, mode=mode)
+    results = [res for s in x if (res := corr.push(s)) is not None]
+    one = compute_trace(TimeSignal(x, 0), n_fft, with_nirs=mode == "nirs")
+    assert [res.window_start for res in results] == one.n.tolist()
+    tol = 1e-9 * n_fft
+    assert np.max(np.abs([res.g for res in results] - one.g)) < tol
+    assert np.max(np.abs([res.m for res in results] - one.m)) < tol
+    assert np.max(np.abs([res.metric for res in results] - one.metric(mode))) < 1e-9
+    if mode == "sc":
+        assert all(res.q is None for res in results)
+    else:
+        assert np.max(np.abs([res.q for res in results] - one.q)) < tol
+    assert corr.counted_steps == len(one) - 1
+    assert corr.ops == model_counters(mode, corr.counted_steps)
+
+
 def test_sliding_recursions_match_direct_sums():
     """The O(1) recursions, pushed sample by sample over criterion 04's input."""
     rng = np.random.default_rng(20004)
