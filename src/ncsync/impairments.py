@@ -105,12 +105,28 @@ class NbiSpec:
         return self.f_c + self.freq_offset_hz / self.sc_spacing_hz
 
 
+def check_level_db(name: str, *values: float):
+    """Raise a ValueError naming `name` for a NaN or -inf level in dB.
+
+    A level is a number of dB or +inf, which switches its term off; NaN
+    and -inf (interference or noise without bound) have no meaning.
+    """
+    for value in values:
+        if np.isnan(value) or value == -np.inf:
+            raise ValueError(f"{name} must be a number of dB or +inf (term off), "
+                             f"got {value}")
+
+
 @dataclass(frozen=True)
 class MixSpec:
     """Per-trial mixing levels: SNR/SIR in dB (np.inf disables a term)."""
 
     snr_db: float
     sir_db: float
+
+    def __post_init__(self):
+        check_level_db("snr_db", self.snr_db)
+        check_level_db("sir_db", self.sir_db)
 
 
 @dataclass
@@ -201,7 +217,8 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec,
     measured (the non-silent portion of y, channel tail included).  The noise
     vector is renormalized over that same slice so that the realized SNR
     matches the request exactly rather than only in expectation.  np.inf for
-    snr_db or sir_db zeroes the corresponding term.
+    snr_db or sir_db zeroes the corresponding term (MixSpec admits no NaN
+    and no -inf).
     """
     if len(nbi) != len(y) or nbi.origin != y.origin:
         raise ValueError("nbi buffer must match y in length and origin")

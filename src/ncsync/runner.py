@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import mmap
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +27,7 @@ from .detect import SyncResult, detect
 from .evaluate import TrialOutcome, aggregate, ber_preamble, classify
 from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipath,
                           calibrate_and_mix, carson_deviation_hz,
-                          draw_channel_cost207tu, gen_nbi)
+                          check_level_db, draw_channel_cost207tu, gen_nbi)
 from .metrics import MetricTrace, compute_trace
 from .ofdm import SymbolGrid, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
@@ -50,19 +52,18 @@ class TrialRecord:
     trace: MetricTrace | None = None
 
 
-def run_trial(sc: Scenario, snr_db: float, sir_db: float,
-              rng: np.random.Generator, keep_trace: bool = False) -> TrialRecord:
-    """One frame through the full impairment chain and every detector.
+def _receive(sc: Scenario, snr_db: float, sir_db: float, rng: np.random.Generator):
+    """One frame through the impairment chain: (received, preamble bits,
+    channel, true CFO).
 
-    Draw order (fixed for reproducibility): preamble bits, data symbols,
-    channel, CFO, interferer offset and phases, noise.  Detectors consume no
-    randomness, so the realization does not depend on which are enabled.
+    Draw order (fixed for reproducibility, and written only here): preamble
+    bits, data symbols, channel, CFO, interferer offset and phases, noise.
+    Detectors consume no randomness, so a realization does not depend on
+    what is done with it.
     """
     spec = sc.frame
     n_fft = spec.n_fft
-    even = spec.smap.even_occupied()
-
-    bits = rng.integers(0, 2, size=2 * even.size)
+    bits = rng.integers(0, 2, size=2 * spec.smap.even_occupied().size)
     grid = SymbolGrid(spec)
     grid.data[0] = preamble_from_bits(spec, bits)
     grid.data[1:] = random_data_symbol(spec, rng, spec.n_symbols - 1)
@@ -85,16 +86,25 @@ def run_trial(sc: Scenario, snr_db: float, sir_db: float,
 
     active = slice(spec.n_empty_prefix * spec.symbol_len, None)
     mix = calibrate_and_mix(y_cfo, nbi, MixSpec(snr_db, sir_db), active, rng)
+    return mix.received, bits, ch, nu
 
-    trace = compute_trace(mix.received, n_fft, with_nirs="nirs" in sc.algorithms)
+
+def run_trial(sc: Scenario, snr_db: float, sir_db: float,
+              rng: np.random.Generator, keep_trace: bool = False) -> TrialRecord:
+    """One frame realized by `_receive`, traced, then detected and scored by
+    every detector.  A trace dump (`emit_trace`) stops after the trace."""
+    spec = sc.frame
+    n_fft = spec.n_fft
+    received, bits, ch, nu = _receive(sc, snr_db, sir_db, rng)
+    trace = compute_trace(received, n_fft, with_nirs="nirs" in sc.algorithms)
     counted = len(trace) - 1
-    h = ch.freq_response(even, n_fft)
+    h = ch.freq_response(spec.smap.even_occupied(), n_fft)
     results: dict[str, SyncResult] = {}
     outcomes: dict[str, TrialOutcome] = {}
     for algo in sc.algorithms:
         res = detect(trace, mode=algo, timing_rule=sc.timing_rule,
                      ops=model_counters(algo, counted))
-        errs, total = ber_preamble(mix.received, res, h, bits, spec)
+        errs, total = ber_preamble(received, res, h, bits, spec)
         results[algo] = res
         outcomes[algo] = classify(res, nu, spec.n_cp, errs, total)
     return TrialRecord(true_cfo=nu, results=results, outcomes=outcomes,
@@ -174,10 +184,10 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     """Sweep the FM interferer's occupied bandwidth at fixed SNR.
 
     The deviation follows from Carson's rule, delta_f = bandwidth/2 - f_m, so
-    bandwidths at or below 2 f_m are rejected.  They, and an empty bandwidth
-    or SIR list, are rejected before any trial runs.  The scenario's own
-    grid/kind are overridden: the interferer is single-tone FM at each
-    bandwidth.
+    bandwidths at or below 2 f_m are rejected.  They, an empty bandwidth or
+    SIR list, and a NaN or -inf SNR or SIR are rejected before any trial
+    runs.  The scenario's own grid/kind are overridden: the interferer is
+    single-tone FM at each bandwidth.
     """
     bandwidths = tuple(bandwidths_hz if bandwidths_hz is not None
                        else sc.sweep_bandwidths_hz)
@@ -186,6 +196,8 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     sirs = tuple(sir_list if sir_list is not None else sc.sir_grid)
     if not sirs:
         raise ValueError("no SIR values given (sir_list or [grid] sir_db)")
+    check_level_db("snr_db", snr_db)
+    check_level_db("sir_db", *sirs)
     plan = []
     for bw in bandwidths:
         sweep_sc = replace(sc, nbi_kind="fm_carson",
@@ -203,22 +215,30 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
 
     Single-trial mode emits the full per-window record of one realization;
     percentile mode re-runs n_frames realizations and emits per-index
-    10th/50th/90th percentiles of both timing metrics.  Returns (rows,
-    filename); rows hold Python ints and floats.
+    10th/50th/90th percentiles of both timing metrics.  Each frame runs the
+    realization (`_receive`, as in `run_trial`) and the metric trace only:
+    no detection, BER or scoring.  Returns (rows, filename); rows hold
+    Python ints and floats.
     """
     if trial < 0:
         raise ValueError(f"trial index must be >= 0, got {trial}")
     if "nirs" not in sc.algorithms:
         raise ValueError("a trace dump needs nirs in [sync] algorithms")
+    check_level_db("snr_db", snr_db)
+    check_level_db("sir_db", sir_db)
     n_trials = _check_trials(n_frames if percentiles else 1)
     cell_key = f"trace|snr={snr_db!r}|sir={sir_db!r}"
+
+    def frame_trace(t: int) -> MetricTrace:
+        received, *_ = _receive(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, t))
+        return compute_trace(received, sc.frame.n_fft)
+
     if percentiles:
         stack = None
         for t in range(n_frames):
-            tr = run_trial(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, t),
-                           keep_trace=True).trace
+            tr = frame_trace(t)
             if stack is None:
-                stack = np.empty((2, n_frames, len(tr)))
+                stack = _mapped_empty((2, n_frames, len(tr)))
             stack[0, t] = tr.metric_sc
             stack[1, t] = tr.metric_nirs
         q = _frame_percentiles(stack)
@@ -228,8 +248,7 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
                 columns[f"metric_{algo}_p{pct}"] = q[p, a]
         fname = "trace_percentiles.csv"
     else:
-        tr = run_trial(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, trial),
-                       keep_trace=True).trace
+        tr = frame_trace(trial)
         columns = {"n": tr.n, "g_re": tr.g.real, "g_im": tr.g.imag, "m": tr.m,
                    "q_re": tr.q.real, "q_im": tr.q.imag,
                    "g_nirs_re": tr.g_nirs.real, "g_nirs_im": tr.g_nirs.imag,
@@ -240,6 +259,20 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
             for values in zip(*(col.tolist() for col in columns.values()))]
     _write_outputs(out_dir, fname, rows, sc, sc.master_seed, n_trials)
     return rows, fname
+
+
+def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array in its own private anonymous mapping, pre-faulted.
+
+    Freeing it unmaps its pages.  A stack this large (12 MB for 200 frames)
+    freed back into the heap would stay resident there, and a later
+    allocation landing in its hole would make the next stack take new heap.
+    Where mmap cannot pre-fault (outside Linux) the array comes from the heap.
+    """
+    if not hasattr(mmap, "MAP_POPULATE"):
+        return np.empty(shape)
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_POPULATE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
 
 
 def _frame_percentiles(stack: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .detect import TIMING_RULES
-from .impairments import NbiSpec
+from .impairments import NbiSpec, check_level_db
 from .metrics import MODES
 from .ofdm import FrameSpec, SubcarrierMap
 
@@ -60,6 +60,11 @@ class Scenario:
             raise ScenarioError(f"[sync] algorithms must be a non-empty subset of {MODES}")
         if not self.snr_grid or not self.sir_grid:
             raise ScenarioError("[grid] snr_db and sir_db must be non-empty")
+        try:
+            check_level_db("snr_db", *self.snr_grid)
+            check_level_db("sir_db", *self.sir_grid)
+        except ValueError as exc:
+            raise ScenarioError(f"[grid] {exc}") from exc
         if self.n_trials < 1:
             raise ScenarioError("[run] n_trials must be >= 1")
         if self.cfo_max_hz < 0 or self.nbi_offset_max_hz < 0:

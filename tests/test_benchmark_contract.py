@@ -33,13 +33,8 @@ def test_every_traced_span_resolves():
         pass
 
 
-def test_every_runner_span_is_called(tmp_path):
-    # Resolving is not enough: an entry point that routes around a name it
-    # still imports leaves that name's per-layer figure silently at 0.
-    # Calls go through the module, where the tracer swaps the names.
-    sc = replace(load("quick_demo"), channel_model="cost207tu")
-    called = Counter()
-
+def counting_runner_spans(called: Counter):
+    """patched() targets that count each RUNNER_SPANS attribute's calls."""
     def counting(key):
         def make(fn):
             def wrapper(*args, **kwargs):
@@ -47,10 +42,17 @@ def test_every_runner_span_is_called(tmp_path):
                 return fn(*args, **kwargs)
             return wrapper
         return make
+    return [(m, a, counting(a)) for m, a, _ in tracer.RUNNER_SPANS]
 
+
+def test_every_runner_span_is_called(tmp_path):
+    # Resolving is not enough: an entry point that routes around a name it
+    # still imports leaves that name's per-layer figure silently at 0.
+    # Calls go through the module, where the tracer swaps the names.
+    sc = replace(load("quick_demo"), channel_model="cost207tu")
+    called = Counter()
     runner = ncsync.runner
-    with tracer.Tracer() as spans, \
-            tracer.patched([(m, a, counting(a)) for m, a, _ in tracer.RUNNER_SPANS]):
+    with tracer.Tracer() as spans, tracer.patched(counting_runner_spans(called)):
         runner.run_scenario(sc, out_dir=tmp_path / "run", trials=1)
         runner.run_nbi_bandwidth_sweep(sc, bandwidths_hz=(4000.0,), sir_list=(0.0,),
                                        trials=1, out_dir=tmp_path / "sweep")
@@ -74,6 +76,26 @@ def test_recorder_sees_every_trial():
         assert len(trial["trace"]) == len(trial["r"]) - trial["n_fft"] + 1
         assert [res.mode for res in trial["results"]] == list(sc.algorithms)
         assert [res for res, *_ in trial["scores"]] == trial["results"]
+
+
+def test_trace_dumps_record_one_trace_per_frame_and_no_scoring():
+    # A trace dump computes the trace only.  Its frames still reach
+    # compute_trace through the runner's name, once each, so the Recorder
+    # and the metrics.trace span see every frame of trace_pct.
+    sc = replace(load("sync_error_fm_28k"), channel_model="cost207tu")
+    n_frames = 3
+    rec = workloads.Recorder()
+    called = Counter()
+    runner = ncsync.runner
+    with tracer.patched(rec.targets()), tracer.patched(counting_runner_spans(called)):
+        runner.emit_trace(sc, 20.0, 0.0, trial=2)
+        runner.emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=n_frames)
+    assert len(rec.trials) == called["compute_trace"] == 1 + n_frames
+    assert all(t["results"] == [] and t["scores"] == [] for t in rec.trials)
+    skipped = ("detect", "ber_preamble", "classify", "model_counters",
+               "ChannelRealization.freq_response")
+    assert {a: called[a] for a in skipped} == dict.fromkeys(skipped, 0)
+    assert called["run_trial"] == 0
 
 
 def test_streaming_push_span_steps_and_counters():

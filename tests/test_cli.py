@@ -40,6 +40,14 @@ def test_trace_command_names_a_negative_trial_index(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("cell, name", [("20,-inf", "sir_db"), ("nan,0", "snr_db")])
+def test_trace_command_names_a_nan_or_minus_inf_level(cell, name, tmp_path, capsys):
+    rc = main(["trace", "quick_demo", "--cell", cell, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"error: {name} must be a number of dB or +inf" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_sweep_command(tmp_path):
     rc = main(["sweep-bandwidth", "nbi_bandwidth_sweep", "--bandwidths", "4000",
                "--trials", "2", "--out", str(tmp_path)])

@@ -194,6 +194,16 @@ def test_calibration_inf_sentinels_disable_terms():
     np.testing.assert_array_equal(mix.received.samples, y.samples)
 
 
+@pytest.mark.parametrize("snr_db, sir_db, name", [
+    (20.0, -np.inf, "sir_db"), (-np.inf, 0.0, "snr_db"),
+    (np.nan, 0.0, "snr_db"), (20.0, np.nan, "sir_db"),
+])
+def test_mix_levels_reject_nan_and_minus_inf(snr_db, sir_db, name):
+    # -inf once zeroed its term like +inf, a silently wrong answer.
+    with pytest.raises(ValueError, match=f"^{name} must be a number of dB or \\+inf"):
+        MixSpec(snr_db, sir_db)
+
+
 def test_calibration_sir_100db_power_gap():
     rng = np.random.default_rng(10)
     y = cn_signal(rng, 1000)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import mmap
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import ncsync.runner
 from ncsync.runner import (emit_trace, run_nbi_bandwidth_sweep, run_scenario,
-                           run_trial, trial_rng, write_csv, _fmt)
+                           run_trial, trial_rng, write_csv, _fmt, _receive)
 from ncsync.scenario import (Scenario, ScenarioError, load, parse_scenario,
                              parse_subcarrier_ranges, preset_names)
 from ncsync.streaming import model_counters
@@ -80,6 +81,15 @@ def test_parse_rejects_bad_values():
         parse_scenario(CLEAN_INI.replace("n_trials = 1", "n_trials = 0"))
     with pytest.raises(ScenarioError):
         parse_scenario("not an ini [at all")
+
+
+@pytest.mark.parametrize("line, bad, name", [
+    ("snr_db = inf", "snr_db = -inf", "snr_db"), ("snr_db = inf", "snr_db = nan", "snr_db"),
+    ("sir_db = 100", "sir_db = 0, -inf", "sir_db"), ("sir_db = 100", "sir_db = nan", "sir_db"),
+])
+def test_a_nan_or_minus_inf_grid_level_fails_at_load(line, bad, name):
+    with pytest.raises(ScenarioError, match=rf"^\[grid\] {name} must be a number of dB"):
+        parse_scenario(CLEAN_INI.replace(line, bad))
 
 
 @pytest.mark.parametrize("nbi", [
@@ -201,6 +211,15 @@ def test_trace_dump_columns(tmp_path):
         assert row["metric_sc_p10"] <= row["metric_sc_p50"] <= row["metric_sc_p90"]
 
 
+def test_mapped_and_heap_percentile_stacks_give_the_same_rows(monkeypatch):
+    sc = load("quick_demo")
+    stack = ncsync.runner._mapped_empty((2, 3, 5))
+    assert stack.shape == (2, 3, 5) and stack.dtype == np.float64 and stack.flags.writeable
+    mapped = emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=5)
+    monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+    assert emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=5) == mapped
+
+
 def test_bandwidth_sweep_carson_floor():
     sc = load("nbi_bandwidth_sweep")
     with pytest.raises(ValueError, match="Carson"):
@@ -237,6 +256,44 @@ def test_bad_trace_and_sweep_inputs_fail_before_any_trial(monkeypatch):
     with pytest.raises(ValueError, match="no SIR values"):
         run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), sir_list=())
     assert calls == []
+
+
+def test_nan_or_minus_inf_levels_fail_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "_receive", lambda *args: calls.append(args))
+    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
+    sc = load("quick_demo")
+    for percentiles in (False, True):
+        with pytest.raises(ValueError, match="^sir_db must be"):
+            emit_trace(sc, 20.0, -np.inf, percentiles=percentiles)
+        with pytest.raises(ValueError, match="^snr_db must be"):
+            emit_trace(sc, np.nan, 0.0, percentiles=percentiles)
+    sweep = load("nbi_bandwidth_sweep")
+    with pytest.raises(ValueError, match="^snr_db must be"):
+        run_nbi_bandwidth_sweep(sweep, snr_db=-np.inf)
+    with pytest.raises(ValueError, match="^sir_db must be"):
+        run_nbi_bandwidth_sweep(sweep, sir_list=(0.0, np.nan))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["quick_demo", "sync_error_ideal_tone",
+                                  "sync_error_fm_28k"])
+@pytest.mark.parametrize("cell", [(20.0, 0.0), (np.inf, 100.0)])
+def test_receive_draws_as_run_trial(name, cell, monkeypatch):
+    # A trace dump realizes frames with _receive alone; it must leave the
+    # buffer and the generator where run_trial leaves them.
+    sc = load(name)
+    seen = []
+    compute_trace = ncsync.runner.compute_trace
+    monkeypatch.setattr(ncsync.runner, "compute_trace",
+                        lambda r, *args, **kw: seen.append(r) or compute_trace(r, *args, **kw))
+    for seed in (3, 30111):
+        rng_trial, rng_receive = trial_rng(seed, "k", 1), trial_rng(seed, "k", 1)
+        run_trial(sc, *cell, rng_trial)
+        received, *_ = _receive(sc, *cell, rng_receive)
+        assert received.origin == seen[-1].origin
+        assert received.samples.tobytes() == seen[-1].samples.tobytes()
+        assert rng_receive.uniform() == rng_trial.uniform()
 
 
 def test_bandwidth_sweep_checks_every_bandwidth_before_any_trial(monkeypatch):
