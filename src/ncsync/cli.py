@@ -75,6 +75,9 @@ def _cmd_count_ops(args) -> int:
 
 def _cmd_validate_appendix(args) -> int:
     """Numerical self-checks of the closed-form machinery, plus the notch study."""
+    for flag, value in (("--grids", args.grids), ("--trials", args.trials)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     smap = notched_map(N_FFT, 42)
     spec = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=1)

@@ -131,13 +131,11 @@ class MixSpec:
 
 @dataclass
 class MixResult:
-    """calibrate_and_mix output: the sum plus its calibrated ingredients."""
+    """calibrate_and_mix output: the sum plus its scaled interference and noise."""
 
     received: TimeSignal
-    signal_part: np.ndarray
     nbi_part: np.ndarray
     noise_part: np.ndarray
-    signal_power: float
     sigma_i2: float
     sigma_w2: float
 
@@ -245,4 +243,4 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec,
         noise_part = raw * np.sqrt(sigma_w2 / mean_power(raw[active]))
 
     received = TimeSignal(sig + nbi_part + noise_part, origin=y.origin)
-    return MixResult(received, sig, nbi_part, noise_part, p_sig, sigma_i2, sigma_w2)
+    return MixResult(received, nbi_part, noise_part, sigma_i2, sigma_w2)

@@ -17,6 +17,7 @@ import json
 import math
 import mmap
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from . import __version__
 from .detect import SyncResult, detect
 from .evaluate import TrialOutcome, aggregate, ber_preamble, classify
 from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipath,
-                          calibrate_and_mix, carson_deviation_hz,
-                          check_level_db, draw_channel_cost207tu, gen_nbi)
+                          calibrate_and_mix, check_level_db, draw_channel_cost207tu,
+                          gen_nbi)
 from .metrics import MetricTrace, compute_trace
 from .ofdm import SymbolGrid, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
@@ -140,16 +141,21 @@ def _run_plan(sc: Scenario, plan, columns: tuple[str, ...], trials: int | None,
 
     Returns one row per cell and algorithm, in plan order, holding `columns`
     out of the leading columns, the algorithm, the interferer kind and the
-    aggregate statistics.  With out_dir, the rows go to out_dir/fname.
+    aggregate statistics.  With out_dir, the rows go to out_dir/fname.  A
+    repeated cell key (a value listed twice) fails before any trial.
     """
     n_trials = _check_trials(sc.n_trials if trials is None else trials)
+    repeated = [key for key, n in Counter(cell[0] for cell in plan).items() if n > 1]
+    if repeated:
+        raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
+                         f"is listed twice")
     master_seed = sc.master_seed if seed is None else seed
     rows: list[dict] = []
     for cell_key, cell_sc, snr_db, sir_db, lead in plan:
         per_algo = run_cell(cell_sc, snr_db, sir_db, n_trials, master_seed, cell_key)
         for algo in cell_sc.algorithms:
             stats = aggregate(per_algo[algo])
-            row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi_kind,
+            row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi.kind,
                    "p_sync_error": stats.p_sync_error,
                    "ci95_halfwidth": stats.ci_halfwidth,
                    "mse_time_samples2": stats.mse_time,
@@ -183,11 +189,12 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
                             trials: int | None = None, seed: int | None = None) -> list[dict]:
     """Sweep the FM interferer's occupied bandwidth at fixed SNR.
 
-    The deviation follows from Carson's rule, delta_f = bandwidth/2 - f_m, so
-    bandwidths at or below 2 f_m are rejected.  They, an empty bandwidth or
-    SIR list, and a NaN or -inf SNR or SIR are rejected before any trial
-    runs.  The scenario's own grid/kind are overridden: the interferer is
-    single-tone FM at each bandwidth.
+    Each bandwidth runs the scenario's interferer as `fm_wideband` at that
+    bandwidth (its f_c and f_m kept), whose deviation follows from Carson's
+    rule, delta_f = bandwidth/2 - f_m, so bandwidths at or below 2 f_m are
+    rejected.  They, an empty bandwidth or SIR list, a repeated bandwidth or
+    SIR, and a NaN or -inf SNR or SIR are rejected before any trial runs.
+    The scenario's own SNR grid and interferer kind are overridden.
     """
     bandwidths = tuple(bandwidths_hz if bandwidths_hz is not None
                        else sc.sweep_bandwidths_hz)
@@ -200,8 +207,7 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     check_level_db("sir_db", *sirs)
     plan = []
     for bw in bandwidths:
-        sweep_sc = replace(sc, nbi_kind="fm_carson",
-                           nbi_delta_f_hz=carson_deviation_hz(bw, sc.nbi_f_m_hz))
+        sweep_sc = replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw))
         plan += [(f"bw={bw!r}|snr={snr_db!r}|sir={sir_db!r}", sweep_sc, snr_db, sir_db,
                   {"bandwidth_hz": bw, "sir_db": sir_db}) for sir_db in sirs]
     return _run_plan(sc, plan, SWEEP_COLUMNS, trials, seed, out_dir,

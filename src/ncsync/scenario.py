@@ -10,7 +10,7 @@ accepts either a path or a preset name.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -34,12 +34,8 @@ class Scenario:
     frame: FrameSpec
     channel_model: str
     cfo_max_hz: float
-    nbi_kind: str
-    nbi_f_c: float
+    nbi: NbiSpec
     nbi_offset_max_hz: float
-    nbi_f_m_hz: float
-    nbi_delta_f_hz: float
-    nbi_bandwidth_hz: float
     snr_grid: tuple[float, ...]
     sir_grid: tuple[float, ...]
     algorithms: tuple[str, ...]
@@ -56,8 +52,10 @@ class Scenario:
         if self.timing_rule not in TIMING_RULES:
             raise ScenarioError(f"[sync] timing_rule must be one of {TIMING_RULES}, "
                                 f"got {self.timing_rule!r}")
-        if not self.algorithms or any(a not in MODES for a in self.algorithms):
-            raise ScenarioError(f"[sync] algorithms must be a non-empty subset of {MODES}")
+        if (not self.algorithms or any(a not in MODES for a in self.algorithms)
+                or len(set(self.algorithms)) < len(self.algorithms)):
+            raise ScenarioError(f"[sync] algorithms must name a non-empty subset of "
+                                f"{MODES}, each once, got {self.algorithms}")
         if not self.snr_grid or not self.sir_grid:
             raise ScenarioError("[grid] snr_db and sir_db must be non-empty")
         try:
@@ -69,10 +67,9 @@ class Scenario:
             raise ScenarioError("[run] n_trials must be >= 1")
         if self.cfo_max_hz < 0 or self.nbi_offset_max_hz < 0:
             raise ScenarioError("cfo/nbi offset bounds must be >= 0")
-        try:
-            self.nbi_spec()
-        except ValueError as exc:
-            raise ScenarioError(f"[nbi] {exc}") from exc
+        if self.nbi.sc_spacing_hz != self.frame.sc_spacing_hz:
+            raise ScenarioError(f"interferer spacing {self.nbi.sc_spacing_hz} Hz differs "
+                                f"from the frame's {self.frame.sc_spacing_hz} Hz")
 
     @property
     def cfo_max_norm(self) -> float:
@@ -80,12 +77,8 @@ class Scenario:
         return self.cfo_max_hz / self.frame.sc_spacing_hz
 
     def nbi_spec(self, phase0: float = 0.0, freq_offset_hz: float = 0.0) -> NbiSpec:
-        """Instantiate the interferer description with per-trial draws."""
-        return NbiSpec(kind=self.nbi_kind, f_c=self.nbi_f_c, phase0=phase0,
-                       freq_offset_hz=freq_offset_hz, f_m_hz=self.nbi_f_m_hz,
-                       delta_f_hz=self.nbi_delta_f_hz,
-                       bandwidth_hz=self.nbi_bandwidth_hz,
-                       sc_spacing_hz=self.frame.sc_spacing_hz)
+        """The interferer with one trial's phase and carrier offset drawn."""
+        return replace(self.nbi, phase0=phase0, freq_offset_hz=freq_offset_hz)
 
 
 def parse_subcarrier_ranges(text: str) -> tuple[int, ...]:
@@ -133,25 +126,30 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     def opt(section: str, option: str, default: str) -> str:
         return cp.get(section, option, fallback=default)
 
+    def given(section: str, **casts) -> dict:
+        """The keys of `section` the file sets, cast; defaults stay the dataclass's."""
+        return {key: cast(cp.get(section, key)) for key, cast in casts.items()
+                if cp.has_option(section, key)}
+
     try:
         smap = SubcarrierMap(n_fft=int(need("frame", "n_fft")),
                              occupied=parse_subcarrier_ranges(need("frame", "occupied")))
-        frame = FrameSpec(smap=smap,
-                          n_cp=int(need("frame", "n_cp")),
+        frame = FrameSpec(smap=smap, n_cp=int(need("frame", "n_cp")),
                           n_symbols=int(need("frame", "n_symbols")),
-                          n_empty_prefix=int(opt("frame", "n_empty_prefix", "0")),
-                          sc_spacing_hz=float(opt("frame", "sc_spacing_hz", "15000")))
+                          **given("frame", n_empty_prefix=int, sc_spacing_hz=float))
+        kind, f_c = need("nbi", "kind"), need("nbi", "f_c")
+        try:
+            nbi = NbiSpec(kind=kind, f_c=float(f_c), sc_spacing_hz=frame.sc_spacing_hz,
+                          **given("nbi", f_m_hz=float, delta_f_hz=float, bandwidth_hz=float))
+        except ValueError as exc:
+            raise ScenarioError(f"[nbi] {exc}") from exc
         return Scenario(
             name=opt("scenario", "name", name_hint),
             frame=frame,
             channel_model=opt("channel", "model", "cost207tu"),
             cfo_max_hz=float(opt("cfo", "max_hz", "0")),
-            nbi_kind=need("nbi", "kind"),
-            nbi_f_c=float(need("nbi", "f_c")),
+            nbi=nbi,
             nbi_offset_max_hz=float(opt("nbi", "freq_offset_max_hz", "0")),
-            nbi_f_m_hz=float(opt("nbi", "f_m_hz", "1000")),
-            nbi_delta_f_hz=float(opt("nbi", "delta_f_hz", "5000")),
-            nbi_bandwidth_hz=float(opt("nbi", "bandwidth_hz", "200000")),
             snr_grid=_float_list(need("grid", "snr_db")),
             sir_grid=_float_list(need("grid", "sir_db")),
             algorithms=_str_list(opt("sync", "algorithms", "sc, nirs")),

@@ -55,6 +55,14 @@ def test_sweep_command(tmp_path):
     assert (tmp_path / "bandwidth_sweep.csv").is_file()
 
 
+def test_sweep_command_rejects_a_repeated_bandwidth(tmp_path, capsys):
+    rc = main(["sweep-bandwidth", "nbi_bandwidth_sweep", "--bandwidths", "4000", "4000",
+               "--trials", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: repeated cells" in capsys.readouterr().err
+    assert not (tmp_path / "bandwidth_sweep.csv").exists()
+
+
 def test_count_ops_matches_cost_table(capsys):
     rc = main(["count-ops", "--samples", "300"])
     assert rc == 0
@@ -71,6 +79,16 @@ def test_validate_appendix_self_checks(tmp_path, capsys):
     assert rc == 0
     assert out.count("PASS") == 4 and "FAIL" not in out
     assert (tmp_path / "notch_study.csv").is_file()
+
+
+@pytest.mark.parametrize("flag", ["--grids", "--trials"])
+def test_validate_appendix_rejects_fewer_than_one_grid_or_trial(flag, tmp_path, capsys):
+    rc = main(["validate-appendix", flag, "0", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be >= 1, got 0" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "notch_study.csv").exists()
 
 
 def test_missing_subcommand_is_an_argparse_error():

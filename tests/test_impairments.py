@@ -179,7 +179,7 @@ def test_calibration_hits_requested_levels():
     assert 10 * np.log10(p_sig / p_nbi) == pytest.approx(4.0, abs=0.01)
     np.testing.assert_allclose(
         mix.received.samples,
-        mix.signal_part + mix.nbi_part + mix.noise_part, atol=EXACT_TOL)
+        y.samples + mix.nbi_part + mix.noise_part, atol=EXACT_TOL)
 
 
 def test_calibration_inf_sentinels_disable_terms():

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import mmap
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import ncsync.runner
+from ncsync.impairments import NbiSpec, carson_deviation_hz, gen_nbi
+from ncsync.ofdm import FrameSpec
 from ncsync.runner import (emit_trace, run_nbi_bandwidth_sweep, run_scenario,
                            run_trial, trial_rng, write_csv, _fmt, _receive)
 from ncsync.scenario import (Scenario, ScenarioError, load, parse_scenario,
@@ -104,6 +106,35 @@ def test_a_bad_nbi_section_fails_at_load(nbi):
         load(name)
 
 
+def test_repeated_algorithms_fail_at_load():
+    with pytest.raises(ScenarioError, match=r"^\[sync\] algorithms .* each once"):
+        parse_scenario(CLEAN_INI.replace("timing_rule = midpoint90",
+                                         "timing_rule = midpoint90\nalgorithms = sc, sc"))
+
+
+@pytest.mark.parametrize("kind", ["ideal_tone", "fm_carson", "fm_wideband"])
+def test_omitted_optional_keys_take_the_dataclass_defaults(kind):
+    def stated(cls, *keys) -> str:
+        default = {f.name: f.default for f in fields(cls)}
+        return "".join(f"{key} = {default[key]}\n" for key in keys)
+
+    omitted = CLEAN_INI.replace("n_empty_prefix = 3\n", "").replace("ideal_tone", kind)
+    full = (omitted.replace("n_cp = 32\n", "n_cp = 32\n"
+                            + stated(FrameSpec, "n_empty_prefix", "sc_spacing_hz"))
+            .replace("f_c = 24.5\n", "f_c = 24.5\n"
+                     + stated(NbiSpec, "f_m_hz", "delta_f_hz", "bandwidth_hz")))
+    assert full.count(" = ") == omitted.count(" = ") + 5
+    a, b = parse_scenario(omitted), parse_scenario(full)
+    assert replace(a, source_text="") == replace(b, source_text="")
+    assert a.nbi.kind == kind
+
+
+def test_interferer_spacing_must_match_the_frame():
+    sc = parse_scenario(CLEAN_INI)
+    with pytest.raises(ScenarioError, match="interferer spacing 15000.0 Hz differs"):
+        replace(sc, frame=replace(sc.frame, sc_spacing_hz=30e3))
+
+
 def test_preset_inventory():
     assert preset_names() == ["nbi_bandwidth_sweep", "quick_demo",
                               "sync_error_fm_28k", "sync_error_ideal_tone",
@@ -119,7 +150,7 @@ def test_main_preset_fields():
     assert fr.sc_spacing_hz == 15000
     assert sc.channel_model == "cost207tu"
     assert sc.cfo_max_hz == 10500
-    assert (sc.nbi_kind, sc.nbi_f_c, sc.nbi_offset_max_hz) == ("ideal_tone", 24.5, 14000)
+    assert (sc.nbi.kind, sc.nbi.f_c, sc.nbi_offset_max_hz) == ("ideal_tone", 24.5, 14000)
     assert sc.snr_grid == (0, 4, 8, 12, 16, 20)
     assert sc.sir_grid == (-10, 0, 10, 100)
     assert sc.algorithms == ("sc", "nirs")
@@ -231,6 +262,43 @@ def test_bandwidth_sweep_carson_floor():
     assert all(row["bandwidth_hz"] == 2002.0 for row in rows)
     assert list(rows[0]) == ["bandwidth_hz", "sir_db", "algorithm",
                              "p_sync_error", "ci95_halfwidth", "n_trials"]
+
+
+def test_sweep_interferer_equals_fm_carson_at_carson_deviation():
+    # The sweep runs fm_wideband at each bandwidth; its samples are fm_carson's
+    # at Carson's deviation for that bandwidth, bit for bit.
+    sc = load("nbi_bandwidth_sweep")
+    assert len(sc.sweep_bandwidths_hz) == 6
+    base = sc.nbi_spec(phase0=1.1, freq_offset_hz=-3.7e3)
+    for bw in sc.sweep_bandwidths_hz:
+        wide = replace(base, kind="fm_wideband", bandwidth_hz=bw)
+        carson = replace(base, kind="fm_carson",
+                         delta_f_hz=carson_deviation_hz(bw, base.f_m_hz))
+        a, b = (gen_nbi(spec, 4000, 800, sc.frame.n_fft, np.random.default_rng(7))
+                for spec in (wide, carson))
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+@pytest.mark.parametrize("line, repeated", [("snr_db = inf", "snr_db = 20, 10, 20"),
+                                            ("sir_db = 100", "sir_db = 100, 100.0")])
+def test_repeated_grid_values_fail_before_any_trial(line, repeated, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="repeated cells"):
+        run_scenario(parse_scenario(CLEAN_INI.replace(line, repeated)))
+    assert calls == []
+
+
+def test_repeated_bandwidths_or_sirs_fail_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
+    sweep = load("nbi_bandwidth_sweep")
+    twice = parse_scenario(sweep.source_text.replace("4000, 16000", "4000, 4000"))
+    for sc, kw in ((twice, {}), (sweep, {"bandwidths_hz": (4000.0, 4000.0)}),
+                   (sweep, {"sir_list": (0.0, 10.0, 0.0)})):
+        with pytest.raises(ValueError, match="repeated cells"):
+            run_nbi_bandwidth_sweep(sc, **kw)
+    assert calls == []
 
 
 def test_every_entry_point_rejects_fewer_than_one_trial():
