@@ -150,9 +150,11 @@ def apply_multipath(x: TimeSignal, ch: ChannelRealization) -> TimeSignal:
 
 
 def apply_cfo(x: TimeSignal, nu: float, n_fft: int) -> TimeSignal:
-    """Multiply by exp(j 2 pi nu n / N) with n the frame-relative index."""
-    n = x.n_axis()
-    return TimeSignal(x.samples * np.exp(2j * np.pi * nu * n / n_fft), origin=x.origin)
+    """Multiply by exp(j 2 pi nu n / N), n frame-relative, as cos + j sin of the phase."""
+    theta = (2.0 * np.pi * nu) * x.n_axis() * (1.0 / n_fft)
+    phasor = np.empty(theta.size, dtype=np.complex128)
+    phasor.real, phasor.imag = np.cos(theta), np.sin(theta)
+    return TimeSignal(x.samples * phasor, origin=x.origin)
 
 
 def draw_channel_cost207tu(rng: np.random.Generator, sample_rate_hz: float) -> ChannelRealization:

@@ -255,15 +255,13 @@ def random_data_symbol(spec: FrameSpec, rng: np.random.Generator,
                        count: int | None = None) -> np.ndarray:
     """Dense centered vector with i.i.d. QPSK on every occupied bin.
 
-    With count, a (count, n_fft) stack of such symbols; the bits are drawn
-    one symbol at a time, so rng yields exactly what count single calls
-    would draw.
+    With count, a (count, n_fft) stack of such symbols, drawn in one call
+    that yields the same bits and rng state as count single calls (each
+    draws an even bit count, so none leaves half a 64-bit word unused).
     """
     occ = spec.smap.occupied_array()
     n = 1 if count is None else count
-    bits = np.empty((n, 2 * occ.size), dtype=np.int64)
-    for p in range(n):
-        bits[p] = rng.integers(0, 2, size=2 * occ.size)
+    bits = rng.integers(0, 2, size=(n, 2 * occ.size))
     out = np.zeros((n, spec.n_fft), dtype=np.complex128)
     out[:, spec.smap.columns(occ)] = map_qpsk(bits).reshape(n, occ.size)
     return out[0] if count is None else out

@@ -17,8 +17,8 @@ import json
 import math
 import mmap
 import zlib
-from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,6 @@ from .metrics import MetricTrace, compute_trace
 from .ofdm import SymbolGrid, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
 from .streaming import model_counters
-
-FLOAT_FMT = "{:.10g}"
 
 
 def trial_rng(master_seed: int, cell_key: str, trial: int) -> np.random.Generator:
@@ -141,11 +139,13 @@ def _run_plan(sc: Scenario, plan, columns: tuple[str, ...], trials: int | None,
 
     Returns one row per cell and algorithm, in plan order, holding `columns`
     out of the leading columns, the algorithm, the interferer kind and the
-    aggregate statistics.  With out_dir, the rows go to out_dir/fname.  A
-    repeated cell key (a value listed twice) fails before any trial.
+    aggregate statistics.  With out_dir, the rows go to out_dir/fname.  Cells
+    whose leading columns are equal in value (a value listed twice, or 0 and
+    -0) fail before any trial.
     """
     n_trials = _check_trials(sc.n_trials if trials is None else trials)
-    repeated = [key for key, n in Counter(cell[0] for cell in plan).items() if n > 1]
+    leads = [cell[4] for cell in plan]
+    repeated = [cell[0] for cell in plan if leads.count(cell[4]) > 1]
     if repeated:
         raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
                          f"is listed twice")
@@ -285,31 +285,44 @@ def _frame_percentiles(stack: np.ndarray) -> np.ndarray:
     """10th/50th/90th percentiles, indexed (percentile, metric, window), of a
     (metric, frame, window) stack, which is sorted in place.
 
-    Percentiles read only order statistics, so sorting first changes no bit
-    of them (metrics never hold a -0.0 to swap with a tied 0.0), and on
-    sorted columns numpy's partition is a linear pass with no copy.
+    Each is numpy's linear percentile, read off the sorted columns: the two
+    order statistics around (n - 1) q blended as numpy blends them.  Sorting
+    changes no bit of them (metrics never hold a -0.0 to swap with a tied 0.0).
     """
     stack.sort(axis=1)
-    return np.percentile(stack, [10, 50, 90], axis=1, overwrite_input=True)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FMT.format(value)
-    return str(value)
+    n, out = stack.shape[1], np.empty((3, stack.shape[0], stack.shape[2]))
+    for p, at in enumerate((n - 1) * q for q in (0.1, 0.5, 0.9)):
+        lo = math.floor(at)
+        gamma, a, b = at - lo, stack[:, lo], stack[:, min(lo + 1, n - 1)]
+        out[p] = a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
+    return out
 
 
 def write_csv(path: Path, rows: list[dict]):
-    """Write rows with a fixed float format so identical runs give identical bytes."""
+    """Write rows with a fixed float format so identical runs give identical bytes.
+
+    The bytes are csv.writer's over each value as `%.10g` if a float, str if not;
+    a row is one `%` of its column types' format unless it may need quoting.
+    """
     if not rows:
         raise ValueError(f"refusing to write empty CSV {path}")
     path.parent.mkdir(parents=True, exist_ok=True)
+    header, formats = list(rows[0]), {}
+    pick = itemgetter(*header) if len(header) > 1 else lambda row: (row[header[0]],)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(rows[0].keys())
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[key]) for key in header])
+        for values in map(pick, rows):
+            types = tuple(map(type, values))
+            if types not in formats:
+                formats[types] = ",".join("%.10g" if issubclass(t, float) else "%s"
+                                          for t in types)
+            line = formats[types] % values
+            if line and line.isprintable() and '"' not in line and line.count(",") < len(header):
+                fh.write(line + "\r\n")
+            else:
+                writer.writerow(["%.10g" % v if isinstance(v, float) else str(v)
+                                 for v in values])
 
 
 def write_manifest(out_dir: Path, sc: Scenario, master_seed: int,

@@ -101,12 +101,9 @@ def parse_subcarrier_ranges(text: str) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+def _split(text: str, cast=float) -> tuple:
+    """The non-blank comma-separated tokens of text, each cast."""
+    return tuple(cast(tok) for tok in text.split(",") if tok.strip())
 
 
 def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
@@ -117,48 +114,53 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse scenario file: {exc}") from exc
 
-    def need(section: str, option: str) -> str:
-        try:
-            return cp.get(section, option)
-        except (configparser.NoSectionError, configparser.NoOptionError) as exc:
-            raise ScenarioError(f"missing [{section}] {option}") from exc
+    asked: set[tuple[str, str]] = set()
 
-    def opt(section: str, option: str, default: str) -> str:
+    def get(section: str, option: str, default: str | None = None) -> str:
+        """A key's text; one without a default must be set."""
+        asked.add((section, option))
+        if default is None and not cp.has_option(section, option):
+            raise ScenarioError(f"missing [{section}] {option}")
         return cp.get(section, option, fallback=default)
 
     def given(section: str, **casts) -> dict:
         """The keys of `section` the file sets, cast; defaults stay the dataclass's."""
+        asked.update((section, key) for key in casts)
         return {key: cast(cp.get(section, key)) for key, cast in casts.items()
                 if cp.has_option(section, key)}
 
     try:
-        smap = SubcarrierMap(n_fft=int(need("frame", "n_fft")),
-                             occupied=parse_subcarrier_ranges(need("frame", "occupied")))
-        frame = FrameSpec(smap=smap, n_cp=int(need("frame", "n_cp")),
-                          n_symbols=int(need("frame", "n_symbols")),
+        smap = SubcarrierMap(n_fft=int(get("frame", "n_fft")),
+                             occupied=parse_subcarrier_ranges(get("frame", "occupied")))
+        frame = FrameSpec(smap=smap, n_cp=int(get("frame", "n_cp")),
+                          n_symbols=int(get("frame", "n_symbols")),
                           **given("frame", n_empty_prefix=int, sc_spacing_hz=float))
-        kind, f_c = need("nbi", "kind"), need("nbi", "f_c")
+        kind, f_c = get("nbi", "kind"), get("nbi", "f_c")
         try:
             nbi = NbiSpec(kind=kind, f_c=float(f_c), sc_spacing_hz=frame.sc_spacing_hz,
                           **given("nbi", f_m_hz=float, delta_f_hz=float, bandwidth_hz=float))
         except ValueError as exc:
             raise ScenarioError(f"[nbi] {exc}") from exc
-        return Scenario(
-            name=opt("scenario", "name", name_hint),
+        fields = dict(
+            name=get("scenario", "name", name_hint),
             frame=frame,
-            channel_model=opt("channel", "model", "cost207tu"),
-            cfo_max_hz=float(opt("cfo", "max_hz", "0")),
+            channel_model=get("channel", "model", "cost207tu"),
+            cfo_max_hz=float(get("cfo", "max_hz", "0")),
             nbi=nbi,
-            nbi_offset_max_hz=float(opt("nbi", "freq_offset_max_hz", "0")),
-            snr_grid=_float_list(need("grid", "snr_db")),
-            sir_grid=_float_list(need("grid", "sir_db")),
-            algorithms=_str_list(opt("sync", "algorithms", "sc, nirs")),
-            timing_rule=opt("sync", "timing_rule", "argmax"),
-            n_trials=int(need("run", "n_trials")),
-            master_seed=int(need("run", "master_seed")),
-            sweep_bandwidths_hz=_float_list(opt("sweep", "bandwidths_hz", "")),
+            nbi_offset_max_hz=float(get("nbi", "freq_offset_max_hz", "0")),
+            snr_grid=_split(get("grid", "snr_db")),
+            sir_grid=_split(get("grid", "sir_db")),
+            algorithms=_split(get("sync", "algorithms", "sc, nirs"), str.strip),
+            timing_rule=get("sync", "timing_rule", "argmax"),
+            n_trials=int(get("run", "n_trials")),
+            master_seed=int(get("run", "master_seed")),
+            sweep_bandwidths_hz=_split(get("sweep", "bandwidths_hz", "")),
             source_text=text,
         )
+        unknown = [f"[{s}] {k}" for s in cp.sections() for k in cp[s] if (s, k) not in asked]
+        if unknown:
+            raise ScenarioError(f"unknown section or key: {', '.join(unknown)}")
+        return Scenario(**fields)
     except ScenarioError:
         raise
     except ValueError as exc:

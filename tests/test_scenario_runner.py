@@ -3,6 +3,7 @@
 import hashlib
 import json
 import mmap
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ import ncsync.runner
 from ncsync.impairments import NbiSpec, carson_deviation_hz, gen_nbi
 from ncsync.ofdm import FrameSpec
 from ncsync.runner import (emit_trace, run_nbi_bandwidth_sweep, run_scenario,
-                           run_trial, trial_rng, write_csv, _fmt, _receive)
+                           run_trial, trial_rng, write_csv, _receive)
 from ncsync.scenario import (Scenario, ScenarioError, load, parse_scenario,
                              parse_subcarrier_ranges, preset_names)
 from ncsync.streaming import model_counters
@@ -104,6 +105,21 @@ def test_a_bad_nbi_section_fails_at_load(nbi):
         parse_scenario(CLEAN_INI.replace("kind = ideal_tone", nbi))
     for name in preset_names():
         load(name)
+
+
+@pytest.mark.parametrize("name, line, misspelt, named", [
+    ("sync_error_wideband_fm", "bandwidth_hz = 200000", "bandwith_hz = 60000",
+     "[nbi] bandwith_hz"),
+    ("sync_error_wideband_fm", "[sync]", "[snyc]", "[snyc] algorithms"),
+    ("quick_demo", "[grid]", "[grid]\nextra = 1", "[grid] extra"),
+])
+def test_unknown_sections_and_keys_fail_at_load(name, line, misspelt, named):
+    # configparser reads only the keys asked for: a misspelt key or section
+    # would otherwise leave its default in force without a word.
+    text = load(name).source_text
+    assert line in text
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        parse_scenario(text.replace(line, misspelt))
 
 
 def test_repeated_algorithms_fail_at_load():
@@ -279,8 +295,10 @@ def test_sweep_interferer_equals_fm_carson_at_carson_deviation():
         assert a.samples.tobytes() == b.samples.tobytes()
 
 
+# 0 and -0 have different cell keys ("snr=0.0", "snr=-0.0") but are one level.
 @pytest.mark.parametrize("line, repeated", [("snr_db = inf", "snr_db = 20, 10, 20"),
-                                            ("sir_db = 100", "sir_db = 100, 100.0")])
+                                            ("sir_db = 100", "sir_db = 100, 100.0"),
+                                            ("snr_db = inf", "snr_db = 0, -0")])
 def test_repeated_grid_values_fail_before_any_trial(line, repeated, monkeypatch):
     calls = []
     monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
@@ -376,7 +394,5 @@ def test_bandwidth_sweep_checks_every_bandwidth_before_any_trial(monkeypatch):
 def test_csv_formatting(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "empty.csv", [])
-    assert _fmt(0.123456789012345) == "0.123456789"
-    assert _fmt(2.0) == "2"
-    assert _fmt(3) == "3"
-    assert _fmt("nirs") == "nirs"
+    write_csv(tmp_path / "row.csv", [{"a": 0.123456789012345, "b": 2.0, "c": 3, "d": "nirs"}])
+    assert (tmp_path / "row.csv").read_bytes() == b"a,b,c,d\r\n0.123456789,2,3,nirs\r\n"
