@@ -256,8 +256,8 @@ def random_data_symbol(spec: FrameSpec, rng: np.random.Generator,
     """Dense centered vector with i.i.d. QPSK on every occupied bin.
 
     With count, a (count, n_fft) stack of such symbols, drawn in one call
-    that yields the same bits and rng state as count single calls (each
-    draws an even bit count, so none leaves half a 64-bit word unused).
+    that yields the same bits and rng state as count single calls (the bit
+    generator, not the call, keeps the unused 32-bit half of a 64-bit word).
     """
     occ = spec.smap.occupied_array()
     n = 1 if count is None else count

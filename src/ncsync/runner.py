@@ -17,6 +17,7 @@ import json
 import math
 import mmap
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
@@ -140,12 +141,11 @@ def _run_plan(sc: Scenario, plan, columns: tuple[str, ...], trials: int | None,
     Returns one row per cell and algorithm, in plan order, holding `columns`
     out of the leading columns, the algorithm, the interferer kind and the
     aggregate statistics.  With out_dir, the rows go to out_dir/fname.  Cells
-    whose leading columns are equal in value (a value listed twice, or 0 and
-    -0) fail before any trial.
+    with equal leading values (listed twice, or 0 and -0) fail before any trial.
     """
     n_trials = _check_trials(sc.n_trials if trials is None else trials)
-    leads = [cell[4] for cell in plan]
-    repeated = [cell[0] for cell in plan if leads.count(cell[4]) > 1]
+    counts = Counter(tuple(cell[4].values()) for cell in plan)
+    repeated = [cell[0] for cell in plan if counts[tuple(cell[4].values())] > 1]
     if repeated:
         raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
                          f"is listed twice")

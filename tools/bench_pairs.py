@@ -7,14 +7,15 @@ Run from the repository root.  For every pair and workload, each side (a
 git tree-ish: a commit, or `git write-tree` for the staged index) is
 extracted with `git archive` into a new directory, runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` there,
-and is deleted.  Even pairs run the parent first, odd pairs the change
-first.  Workload k (in BENCHMARK.json order) uses seeds seed0 + 100 (k + 1)
-+ 1 .. + pairs.  With --traced, that workload then runs --traced-pairs
-pairs with --trace 1 for the per-layer figures.  The output JSON holds every
-run, and per workload and end-to-end metric each side's quartiles (linear,
-as numpy's default), the change's pair wins and a verdict against the
-bounds in BENCHMARK.json.  It is rewritten after every run, so a stopped
-session keeps what it measured.
+with T the run_seconds of BENCHMARK.json, and is deleted.  Each workload
+runs 10 pairs; even pairs run the parent first, odd pairs the change first.
+Workload k (in BENCHMARK.json order) uses seeds seed0 + 100 (k + 1) + 1..10.
+With --traced, that workload then runs --traced-pairs pairs of 20 s with
+--trace 1 for the per-layer figures.  The output JSON holds every run, and
+per workload and end-to-end metric each side's quartiles (linear, as
+numpy's default), the change's pair wins and a verdict against the bounds
+in BENCHMARK.json.  It is rewritten after every run, so a stopped session
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+TRACED_SECONDS = 20.0
 
 
 def git(*args: str) -> str:
@@ -37,10 +40,9 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float, trace: int,
-             workdir: str) -> dict:
+def run_side(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run from a fresh extraction of `tree`."""
-    tmp = Path(tempfile.mkdtemp(prefix="bench-", dir=workdir))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-"))
     try:
         archive = subprocess.run(["git", "archive", tree], cwd=ROOT, check=True,
                                  capture_output=True).stdout
@@ -65,7 +67,12 @@ def quartiles(values: list[float]) -> dict:
 
 
 def compare(runs: list[dict], workload: str, metric: dict) -> dict:
-    """Quartiles, pair wins and verdict of one end-to-end metric."""
+    """Quartiles, pair wins and verdict of one end-to-end metric.
+
+    Where the parent's IQR is wider than the bound, the metric is unresolved
+    unless it is better by the claim rule or every change run beats every
+    parent run.
+    """
     name, higher = metric["name"], metric["better"] == "higher"
     by_pair: dict[int, dict[str, float]] = {}
     for r in runs:
@@ -82,8 +89,11 @@ def compare(runs: list[dict], workload: str, metric: dict) -> dict:
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     gain = qc["median"] - qp["median"] if higher else qp["median"] - qc["median"]
     worse = -rel if higher else rel
+    all_beat = (min(change) > max(parent)) if higher else (max(change) < min(parent))
     if wins >= 0.9 * len(pairs) and gain > iqr:
         state = "better (>= 9/10 wins, median gap above parent IQR)"
+    elif iqr / qp["median"] > metric["bound"] and not all_beat:
+        state = f"unresolved (parent IQR wider than the {metric['bound']:.0%} bound)"
     elif worse > metric["bound"]:
         state = f"worse beyond the {metric['bound']:.0%} bound"
     else:
@@ -113,25 +123,19 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="tree-ish of the change side")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--seed0", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--traced", nargs="*", default=[], help="workloads to trace too")
     ap.add_argument("--traced-pairs", type=int, default=1)
-    ap.add_argument("--traced-seconds", type=float, default=20.0)
-    ap.add_argument("--workdir", default=None, help="where extractions go")
-    ap.add_argument("--note", default="", help="free text stored as 'change'")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
     workloads = args.workloads or names
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     trees = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    out = {"change": args.note, "sides": trees, "machine": machine(),
+    out = {"sides": trees, "machine": machine(),
            "protocol": (f"perfbench/run.py --seconds {seconds:g} --trace 0 from a fresh "
-                        f"`git archive` extraction per run; {args.pairs} alternating pairs "
+                        f"`git archive` extraction per run; {PAIRS} alternating pairs "
                         f"per workload (even pairs parent first); seeds seed0 + 100 (k + 1) "
                         f"+ 1.. with seed0 {args.seed0}; quartiles are linear."),
            "summary": {}, "verdicts": {}, "runs": []}
@@ -141,7 +145,7 @@ def main(argv=None) -> int:
 
     def pair_runs(workload: str, pair: int, seed: int, secs: float, trace: int):
         for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
-            result = run_side(trees[side], workload, seed, secs, trace, args.workdir)
+            result = run_side(trees[side], workload, seed, secs, trace)
             out["runs"].append({"workload": workload, "side": side, "seed": seed,
                                 "pair": pair, "trace": trace, "result": result})
             print(workload, pair, side, trace,
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
 
     for workload in workloads:
         base = args.seed0 + 100 * (names.index(workload) + 1)
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             pair_runs(workload, pair, base + pair + 1, seconds, 0)
         summary = {m["name"]: compare(out["runs"], workload, m) for m in bench["end_to_end"]}
         out["summary"][workload] = summary
@@ -163,7 +167,7 @@ def main(argv=None) -> int:
     for workload in args.traced:
         base = args.seed0 + 100 * (names.index(workload) + 1) + 50
         for pair in range(args.traced_pairs):
-            pair_runs(workload, pair, base + pair + 1, args.traced_seconds, 1)
+            pair_runs(workload, pair, base + pair + 1, TRACED_SECONDS, 1)
     return 0
 
 
