@@ -55,34 +55,28 @@ def b_closed_form(column: np.ndarray, f: float, nu: float, n: int,
                   spec: FrameSpec) -> complex:
     """Closed-form b(n) for one flat-channel CP-extended symbol.
 
-    The symbol occupies sample indices [-n_cp, N-1] and is zero elsewhere;
-    the half window [n, n+N/2-1] then overlaps it in one of three ways
-    (leading partial, full, trailing partial), each a geometric sum per
-    occupied bin that collapses to a sine ratio.  Bins where k - f + nu is a
-    multiple of N take the limit value (window length) * d_k / sqrt(N).
-    Raises ValueError when the window misses the symbol entirely.
+    The symbol occupies sample indices [-n_cp, N-1] and is zero elsewhere,
+    so the half window [n, n+N/2-1] overlaps it on [lo, hi] with
+    lo = max(n, -n_cp) and hi = min(n+N/2-1, N-1).  Over that interval each
+    occupied bin's geometric sum collapses to a sine ratio of length
+    hi - lo + 1 centred at (lo + hi) / 2.  Bins where k - f + nu is a multiple
+    of N take the limit value (window length) * d_k / sqrt(N).  Raises
+    ValueError when the window misses the symbol entirely.
     """
     n_fft = spec.n_fft
-    half = n_fft // 2
     n_cp = spec.n_cp
     column = np.asarray(column, dtype=np.complex128)
     if column.shape != (n_fft,):
         raise ValueError(f"column must have length {n_fft}")
 
-    if -half - n_cp + 1 <= n <= -n_cp - 1:
-        win = half + n_cp + n
-        phase_arg = (n - n_cp - 1) / n_fft + 0.5
-    elif -n_cp <= n <= half:
-        win = half
-        phase_arg = (2 * n - 1) / n_fft + 0.5
-    elif half + 1 <= n <= n_fft - 1:
-        win = n_fft - n
-        phase_arg = (n + n_fft - 1) / n_fft
-    else:
+    lo, hi = max(n, -n_cp), min(n + n_fft // 2 - 1, n_fft - 1)
+    if hi < lo:
         raise ValueError(
             f"window start {n} outside the symbol's support "
-            f"[{-half - n_cp + 1}, {n_fft - 1}]"
+            f"[{-n_fft // 2 - n_cp + 1}, {n_fft - 1}]"
         )
+    win = hi - lo + 1
+    phase_arg = (lo + hi) / n_fft
 
     idx = np.nonzero(column)[0]
     if idx.size == 0:
@@ -227,11 +221,9 @@ class CrossPowerStats:
     def bootstrap_ci(self, rng: np.random.Generator) -> tuple[float, float]:
         """Percentile bootstrap interval for the ratio over trials."""
         n = self.cross_pow.size
-        ratios = np.empty(N_BOOT)
-        for b in range(N_BOOT):
-            idx = rng.integers(0, n, size=n)
-            ratios[b] = self.cross_pow[idx].mean() / (
-                self.y_pow[idx].mean() + self.i_pow[idx].mean())
+        idx = rng.integers(0, n, size=(N_BOOT, n))  # one resample per row
+        ratios = self.cross_pow[idx].mean(axis=1) / (
+            self.y_pow[idx].mean(axis=1) + self.i_pow[idx].mean(axis=1))
         alpha = (1.0 - CI_LEVEL) / 2.0
         lo, hi = np.quantile(ratios, [alpha, 1.0 - alpha])
         return float(lo), float(hi)

@@ -67,6 +67,14 @@ class Scenario:
             raise ScenarioError("[run] n_trials must be >= 1")
         if self.cfo_max_hz < 0 or self.nbi_offset_max_hz < 0:
             raise ScenarioError("cfo/nbi offset bounds must be >= 0")
+        # The CFO readout arg(.)/pi is unambiguous only below one spacing.
+        if self.cfo_max_hz >= self.frame.sc_spacing_hz:
+            raise ScenarioError(f"[cfo] max_hz must be below the subcarrier spacing "
+                                f"{self.frame.sc_spacing_hz} Hz, got {self.cfo_max_hz}")
+        # One even bin makes the preamble a pure tone, which NIRS cancels by design.
+        if self.frame.smap.even_occupied().size == 1:
+            raise ScenarioError("[frame] occupied must hold more than one even subcarrier, "
+                                "got one: the preamble would be a pure tone")
         if self.nbi.sc_spacing_hz != self.frame.sc_spacing_hz:
             raise ScenarioError(f"interferer spacing {self.nbi.sc_spacing_hz} Hz differs "
                                 f"from the frame's {self.frame.sc_spacing_hz} Hz")

@@ -25,6 +25,8 @@ ChunkCorrelator reports the same counters from that model.
 from __future__ import annotations
 
 import cmath
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,25 +84,6 @@ def _check_finite(x: np.ndarray, start: int) -> None:
         raise _non_finite(start + k, x[k])
 
 
-class _Ring:
-    """Fixed-length delay line; push returns the evicted oldest element."""
-
-    def __init__(self, values: np.ndarray):
-        self.buf = np.array(values)
-        self.size = self.buf.size
-        self.head = 0  # position of the oldest element
-
-    def push(self, value):
-        old = self.buf[self.head]
-        self.buf[self.head] = value
-        self.head = (self.head + 1) % self.size
-        return old
-
-    def peek(self, offset: int):
-        """Element `offset` places after the oldest (offset 0 = oldest)."""
-        return self.buf[(self.head + offset) % self.size]
-
-
 @dataclass
 class StepResult:
     """One emitted window: start index (stream coordinates) and metrics."""
@@ -134,13 +117,14 @@ class SlidingCorrelator:
         self.ops = OpCounters()
         self.counted_steps = 0
         self._n_pushed = 0
-        self._samples = _Ring(np.zeros(self.half + 1, complex))  # last half+1 samples
-        self._dl_g = _Ring(np.zeros(self.half, complex))  # p_g over [n, n+half)
-        self._dl_e = _Ring(np.zeros(self.half))  # energies over [n+half, n+N)
-        self._dl_q = _Ring(np.zeros(3 * self.quarter, complex))  # p_q over [n, n+3N/4)
-        self._g = 0.0 + 0.0j
+        # Zero-filled delay lines; each append retires the element at [0].
+        self._samples = deque([0j] * self.half, self.half)  # r over [t-half, t)
+        self._dl_g = deque([0j] * self.half, self.half)  # p_g over [n, n+half)
+        self._dl_e = deque([0.0] * self.half, self.half)  # energies over [n+half, n+N)
+        self._dl_q = deque([0j] * (3 * self.quarter), 3 * self.quarter)  # p_q over [n, n+3N/4)
+        self._g = 0j
         self._m = 0.0
-        self._q = 0.0 + 0.0j
+        self._q = 0j
 
     def push(self, sample: complex) -> StepResult | None:
         """Feed one sample; returns a StepResult once N samples are buffered.
@@ -161,31 +145,29 @@ class SlidingCorrelator:
         return None if window_start < 0 else self._emit(window_start, ops)
 
     def _step(self, s_t: complex, ops: OpCounters) -> None:
-        self._samples.push(s_t)
-        # Ring now spans [t - half, t]; oldest element is r(t - half).
-        s_lag_half = self._samples.peek(0)
-        s_lag_quarter = self._samples.peek(self.quarter)
+        s_lag_half = self._samples[0]
+        s_lag_quarter = self._samples[self.quarter]
+        self._samples.append(s_t)
 
-        new_gp = np.conj(s_lag_half) * s_t
+        new_gp = s_lag_half.conjugate() * s_t
         ops.tally(add=2, mul=4)
-        old_gp = self._dl_g.push(new_gp)
-        self._g = self._g - old_gp + new_gp
+        self._g = self._g - self._dl_g[0] + new_gp
+        self._dl_g.append(new_gp)
         ops.tally(add=4)
 
         new_e = s_t.real * s_t.real + s_t.imag * s_t.imag
         ops.tally(add=1, mul=2)
-        old_e = self._dl_e.push(new_e)
-        self._m = self._m - old_e + new_e
+        self._m = self._m - self._dl_e[0] + new_e
+        self._dl_e.append(new_e)
         ops.tally(add=2)
 
         if self.mode == "nirs":
-            new_qp = np.conj(s_lag_quarter) * s_t
+            new_qp = s_lag_quarter.conjugate() * s_t
             ops.tally(add=2, mul=4)
-            p1 = self._dl_q.peek(0)
-            p2 = self._dl_q.peek(self.quarter)
-            p3 = self._dl_q.peek(2 * self.quarter)
-            self._dl_q.push(new_qp)
-            self._q = self._q + 0.5 * ((new_qp - p1) + (p3 - p2))
+            dl_q = self._dl_q
+            self._q = self._q + 0.5 * ((new_qp - dl_q[0])
+                                       + (dl_q[2 * self.quarter] - dl_q[self.quarter]))
+            dl_q.append(new_qp)
             ops.tally(add=8, mul=2)
 
     def _emit(self, window_start: int, ops: OpCounters) -> StepResult:
@@ -194,7 +176,7 @@ class SlidingCorrelator:
             q = self._q
             qsq = q * q
             ops.tally(add=1, mul=4)
-            qmag = np.sqrt(q.real * q.real + q.imag * q.imag)
+            qmag = math.sqrt(q.real * q.real + q.imag * q.imag)
             ops.tally(add=1, mul=2, sqrt=1)
             ops.tally(mul=2)  # the two divisions in Q^2 / |Q|
             corr = qsq / qmag if qmag > 0 else 0.0
@@ -209,10 +191,8 @@ class SlidingCorrelator:
         ops.tally(mul=1)
         ops.tally(mul=1)  # the metric division
         metric = numsq / msq if m > 0 else 0.0
-        return StepResult(window_start=window_start, g=complex(g), m=float(m),
-                          metric=float(metric),
-                          q=None if q is None else complex(q),
-                          g_nirs=None if q is None else complex(num))
+        return StepResult(window_start=window_start, g=g, m=m, metric=metric,
+                          q=q, g_nirs=None if q is None else num)
 
 
 class ChunkCorrelator:

@@ -63,12 +63,16 @@ def test_sweep_command_rejects_a_repeated_bandwidth(tmp_path, capsys):
     assert not (tmp_path / "bandwidth_sweep.csv").exists()
 
 
-def test_count_ops_matches_cost_table(capsys):
-    rc = main(["count-ops", "--samples", "300"])
+@pytest.mark.parametrize("args, samples", [([], 1000), (["--samples", "300"], 300)])
+def test_count_ops_matches_cost_table(capsys, args, samples):
+    rc = main(["count-ops", *args])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "cost table check: ok" in out
-    assert "sc" in out and "nirs" in out
+    assert capsys.readouterr().out == (
+        f"per-sample real-operation averages over {samples} counted samples (N = 256):\n"
+        "algorithm   add/sub  mul/div   sqrt\n"
+        "sc           10.000   10.000  0.000\n"
+        "nirs         24.000   24.000  1.000\n"
+        "cost table check: ok\n")
 
 
 def test_validate_appendix_self_checks(tmp_path, capsys):

@@ -151,6 +151,26 @@ def test_interferer_spacing_must_match_the_frame():
         replace(sc, frame=replace(sc.frame, sc_spacing_hz=30e3))
 
 
+@pytest.mark.parametrize("max_hz", [15000, 20000])
+def test_a_cfo_bound_of_one_spacing_or_more_fails_at_load(max_hz):
+    # arg(.)/pi reads the CFO unambiguously only below one subcarrier spacing.
+    with pytest.raises(ScenarioError, match=r"^\[cfo\] max_hz"):
+        parse_scenario(CLEAN_INI.replace("[cfo]\nmax_hz = 0", f"[cfo]\nmax_hz = {max_hz}"))
+    sc = parse_scenario(CLEAN_INI.replace("[cfo]\nmax_hz = 0", "[cfo]\nmax_hz = 14850"))
+    assert sc.cfo_max_hz == 14850
+    with pytest.raises(ScenarioError, match=r"^\[cfo\] max_hz"):
+        replace(sc, cfo_max_hz=max_hz)
+
+
+@pytest.mark.parametrize("occupied", ["2", "2, 3, 5"])
+def test_a_map_with_one_even_subcarrier_fails_at_load(occupied):
+    # Its preamble is a pure tone, which the NIRS metric cancels by design.
+    line = "occupied = -100..-1, 1..3, 46..100"
+    with pytest.raises(ScenarioError, match=r"^\[frame\] occupied"):
+        parse_scenario(CLEAN_INI.replace(line, f"occupied = {occupied}"))
+    assert parse_scenario(CLEAN_INI.replace(line, "occupied = 2, 4")).frame.smap.occupied == (2, 4)
+
+
 def test_preset_inventory():
     assert preset_names() == ["nbi_bandwidth_sweep", "quick_demo",
                               "sync_error_fm_28k", "sync_error_ideal_tone",
