@@ -79,8 +79,6 @@ def b_closed_form(column: np.ndarray, f: float, nu: float, n: int,
     phase_arg = (lo + hi) / n_fft
 
     idx = np.nonzero(column)[0]
-    if idx.size == 0:
-        return 0j
     d = column[idx]
     theta = (idx - n_fft // 2) - f + nu
     cycles = theta / n_fft

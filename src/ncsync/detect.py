@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import MetricTrace
-from .streaming import OpCounters
 
 TIMING_RULES = ("argmax", "midpoint90")
 
@@ -21,13 +20,12 @@ class NoSignalError(ValueError):
 @dataclass
 class SyncResult:
     """Detection outcome: timing n_hat (frame-relative), CFO in subcarrier
-    spacings, the metric's peak value, and the op counters spent getting it."""
+    spacings, and the metric's peak value."""
 
     n_hat: int
     nu_hat: float
     peak_value: float
     mode: str
-    ops: OpCounters = field(default_factory=OpCounters)
 
 
 def _plateau_midpoint(metric: np.ndarray, i_peak: int) -> int:
@@ -40,8 +38,7 @@ def _plateau_midpoint(metric: np.ndarray, i_peak: int) -> int:
     return (lo + hi) // 2
 
 
-def detect(trace: MetricTrace, mode: str = "nirs", timing_rule: str = "argmax",
-           ops: OpCounters | None = None) -> SyncResult:
+def detect(trace: MetricTrace, mode: str = "nirs", timing_rule: str = "argmax") -> SyncResult:
     """Locate the preamble in a metric trace and read off the CFO.
 
     timing_rule "argmax" takes the global metric maximum; "midpoint90" takes
@@ -69,5 +66,4 @@ def detect(trace: MetricTrace, mode: str = "nirs", timing_rule: str = "argmax",
         raise ValueError(f"non-finite {mode} metric or numerator at n = {int(trace.n[idx])}")
     nu_hat = float(np.angle(num) / np.pi)
     return SyncResult(n_hat=int(trace.n[idx]), nu_hat=nu_hat,
-                      peak_value=float(metric[i_peak]), mode=mode,
-                      ops=ops if ops is not None else OpCounters())
+                      peak_value=float(metric[i_peak]), mode=mode)

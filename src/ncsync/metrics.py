@@ -77,9 +77,8 @@ def nirs_numerator(g, q):
     return g - corr
 
 
-def _sliding_sum(values: np.ndarray, width: int) -> np.ndarray:
-    """sums[u] = values[u] + ... + values[u + width - 1] via cumsum."""
-    cs = np.cumsum(values)
+def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
+    """sums[u] = x[u] + ... + x[u + width - 1] from cs = cumsum(x)."""
     sums = np.empty(cs.size - width + 1, dtype=cs.dtype)
     sums[0] = cs[width - 1]
     np.subtract(cs[width:], cs[:-width], out=sums[1:])
@@ -115,17 +114,13 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
         u = int(np.argmin(np.isfinite(s)))
         raise ValueError(f"sample {u} (n = {u - r.origin}) is not finite: {s[u]}")
 
-    # Each temporary is dropped once used: on a long capture they would
-    # otherwise add several buffer sizes to the peak.
+    # Each temporary is dropped once used, summands before their window sums:
+    # on a long capture they would otherwise add several buffer sizes to the peak.
     half_products = np.conj(s[:-half]) * s[half:]
-    g = _sliding_sum(half_products, half)
+    g = _sliding_sum(np.cumsum(half_products), half)
     del half_products
 
-    # The energy cumsum starts at buffer sample 0; M(n) is the difference of
-    # its values N - 1 and N/2 - 1 samples past window start n.
-    cs = np.cumsum(s.real * s.real + s.imag * s.imag)
-    m = cs[n_fft - 1:] - cs[half - 1 : half - 1 + n_windows]
-    del cs
+    m = _sliding_sum(np.cumsum(s.real * s.real + s.imag * s.imag), half)[half:]
 
     mm = m * m
     positive = m > 0
@@ -136,7 +131,7 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
         return MetricTrace(n=n_axis, g=g, m=m, metric_sc=metric_sc)
 
     quarter_products = np.conj(s[:-quarter]) * s[quarter:]
-    s4 = _sliding_sum(quarter_products, quarter)
+    s4 = _sliding_sum(np.cumsum(quarter_products), quarter)
     q = 0.5 * (s4[:n_windows] + 2.0 * s4[quarter : quarter + n_windows]
                + s4[half : half + n_windows])
     del s4

@@ -33,7 +33,7 @@ from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipat
 from .metrics import MetricTrace, compute_trace
 from .ofdm import SymbolGrid, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
-from .streaming import model_counters
+from .streaming import OpCounters, model_counters
 
 
 def trial_rng(master_seed: int, cell_key: str, trial: int) -> np.random.Generator:
@@ -49,6 +49,7 @@ class TrialRecord:
     true_cfo: float
     results: dict[str, SyncResult]
     outcomes: dict[str, TrialOutcome]
+    ops: dict[str, OpCounters]
     trace: MetricTrace | None = None
 
 
@@ -102,12 +103,12 @@ def run_trial(sc: Scenario, snr_db: float, sir_db: float,
     results: dict[str, SyncResult] = {}
     outcomes: dict[str, TrialOutcome] = {}
     for algo in sc.algorithms:
-        res = detect(trace, mode=algo, timing_rule=sc.timing_rule,
-                     ops=model_counters(algo, counted))
+        res = detect(trace, mode=algo, timing_rule=sc.timing_rule)
         errs, total = ber_preamble(received, res, h, bits, spec)
         results[algo] = res
         outcomes[algo] = classify(res, nu, spec.n_cp, errs, total)
     return TrialRecord(true_cfo=nu, results=results, outcomes=outcomes,
+                       ops={algo: model_counters(algo, counted) for algo in sc.algorithms},
                        trace=trace if keep_trace else None)
 
 

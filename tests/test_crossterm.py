@@ -33,9 +33,10 @@ def rel_err(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
 
-def test_b_direct_basics():
+def test_b_direct_basics(notch_spec):
     zeros = TimeSignal(np.zeros(300, dtype=complex), origin=0)
     assert b_direct(zeros, 3.7, 0.1, 10, N_FFT) == 0
+    assert b_closed_form(np.zeros(N_FFT), 3.7, 0.1, 10, notch_spec) == 0
     ones = TimeSignal(np.ones(300, dtype=complex), origin=0)
     # f = nu makes every rotation factor unity
     assert b_direct(ones, 0.25, 0.25, 40, N_FFT) == pytest.approx(N_FFT / 2)

@@ -236,7 +236,7 @@ def test_run_trial_record_structure():
     for algo in ("sc", "nirs"):
         assert rec.outcomes[algo].bits_total == 158
         want = model_counters(algo, counted)
-        have = rec.results[algo].ops
+        have = rec.ops[algo]
         assert (have.add_sub, have.mul_div, have.sqrt) == (
             want.add_sub, want.mul_div, want.sqrt)
 

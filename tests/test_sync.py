@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncsync import (ChunkCorrelator, FrameSpec, NoSignalError, OpCounters,
                     SlidingCorrelator, SubcarrierMap, SymbolGrid, TimeSignal,
-                    build_frame, compute_trace, count_report, detect,
+                    apply_cfo, build_frame, compute_trace, count_report, detect,
                     generate_preamble, nirs_numerator, preamble_from_bits,
                     random_data_symbol, trace_from_stream)
 from ncsync.metrics import MetricTrace
@@ -18,9 +18,9 @@ NON_FINITE = [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)]
 TRACE_FIELDS = ("g", "m", "metric_sc", "q", "g_nirs", "metric_nirs")
 
 
-def tone(f, length, amp=1.0, phi=0.0):
+def tone(f, length, amp=1.0, phi=0.0, n_fft=N_FFT):
     n = np.arange(length)
-    return TimeSignal(amp * np.exp(1j * (2 * np.pi * f * n / N_FFT + phi)), origin=0)
+    return TimeSignal(amp * np.exp(1j * (2 * np.pi * f * n / n_fft + phi)), origin=0)
 
 
 def clean_frame(spec, rng):
@@ -61,6 +61,27 @@ def test_pure_tone_correlations():
     # so the corrected numerator vanishes
     assert np.abs(tr.g_nirs).max() < 1e-9 * 128.0
     np.testing.assert_allclose(tr.metric_sc, 1.0, atol=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_fft=st.sampled_from([8, 64, 256]), f_frac=st.floats(0, 1, exclude_max=True),
+       phi=st.floats(0, 2 * np.pi), log_amp=st.floats(-6, 6))
+def test_nirs_cancels_a_tone_at_any_frequency_phase_and_amplitude(n_fft, f_frac, phi,
+                                                                   log_amp):
+    # f spans [-N/2, N/2), the whole band, and the amplitude twelve decades.
+    amp = 10.0 ** log_amp
+    tr = compute_trace(tone(n_fft * (f_frac - 0.5), 3 * n_fft, amp, phi, n_fft), n_fft)
+    assert np.abs(tr.g_nirs).max() <= 1e-9 * amp * amp * n_fft / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(-1, 1, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_noiseless_cfo_readout_is_exact_over_the_open_range(main_spec, nu, seed):
+    y = apply_cfo(clean_frame(main_spec, np.random.default_rng(seed)), nu, N_FFT)
+    tr = compute_trace(y, N_FFT)
+    (i0,) = np.flatnonzero(tr.n == 0)
+    assert abs(np.angle(tr.g_nirs[i0]) / np.pi - nu) < 1e-10
 
 
 def test_nirs_numerator_degenerate_q():
