@@ -11,7 +11,8 @@ import numpy as np
 from .crossterm import (CFO_MAX, N_CP, N_FFT, NBI_CENTER, b_closed_form, b_direct,
                         decompose, g_cross_from_b, notched_map, q_cross_from_b,
                         relative_cross_power)
-from .impairments import ChannelRealization, NbiSpec, apply_multipath, gen_nbi
+from .impairments import (ChannelRealization, NbiSpec, apply_multipath, check_level_db,
+                          gen_nbi)
 from .ofdm import (FrameSpec, SymbolGrid, TimeSignal, build_frame,
                    generate_preamble, modulate_symbol, random_data_symbol)
 from .runner import emit_trace, run_nbi_bandwidth_sweep, run_scenario, write_csv
@@ -54,17 +55,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_count_ops(args) -> int:
     # The tallies depend on the window count only, never on the sample values.
-    samples = np.random.default_rng(0).standard_normal(2 * (args.samples + 256))
-    print(f"per-sample real-operation averages over {args.samples} counted samples "
-          f"(N = 256):")
+    samples = np.random.default_rng(0).standard_normal(2 * (1000 + 256))
+    print("per-sample real-operation averages over 1000 counted samples (N = 256):")
     print(f"{'algorithm':<10} {'add/sub':>8} {'mul/div':>8} {'sqrt':>6}")
     ok = True
     for mode in ("sc", "nirs"):
         corr = SlidingCorrelator(256, mode=mode)
         for s in samples.view(np.complex128):
             corr.push(s)
-            if corr.counted_steps >= args.samples:
-                break
         adds, muls, sqrts = count_report(corr.ops, corr.counted_steps)
         print(f"{mode:<10} {adds:>8.3f} {muls:>8.3f} {sqrts:>6.3f}")
         ok &= (adds, muls, sqrts) == tuple(float(c) for c in COST_PER_SAMPLE[mode])
@@ -77,6 +75,7 @@ def _cmd_validate_appendix(args) -> int:
     for flag, value in (("--grids", args.grids), ("--trials", args.trials)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    check_level_db("--sir", args.sir)
     rng = np.random.default_rng(args.seed)
     smap = notched_map(N_FFT, 42)
     spec = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=1)
@@ -86,11 +85,8 @@ def _cmd_validate_appendix(args) -> int:
     worst = 0.0
     for _ in range(args.grids):
         col = generate_preamble(spec, rng)
-        sym = modulate_symbol(col, spec)
-        pad = N_FFT
-        buf = np.zeros(2 * pad + len(sym), dtype=complex)
-        buf[pad : pad + len(sym)] = sym.samples
-        y = TimeSignal(buf, origin=pad + N_CP)
+        y = TimeSignal(np.pad(modulate_symbol(col, spec).samples, N_FFT),
+                       origin=N_FFT + N_CP)
         f = NBI_CENTER + rng.uniform(-1, 1)
         nu = rng.uniform(-CFO_MAX, CFO_MAX)
         for n in rng.integers(-N_FFT // 2 - N_CP + 1, N_FFT, size=12):
@@ -198,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate_appendix)
 
     p = sub.add_parser("count-ops", help="measure per-sample operation counts")
-    p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=_cmd_count_ops)
     return parser
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import NbiSpec, apply_multipath, draw_channel_cost207tu, gen_nbi, \
-    mean_power
+from .impairments import NbiSpec, apply_multipath, check_level_db, draw_channel_cost207tu, \
+    gen_nbi, mean_power
 from .ofdm import FrameSpec, SubcarrierMap, SymbolGrid, TimeSignal, build_frame, \
     generate_preamble, random_data_symbol
 
@@ -241,8 +241,9 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
         raise ValueError(f"unknown timing {timing!r}; expected one of {TIMING_POSITIONS}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    check_level_db("sir_db", sir_db)
     spec = FrameSpec(smap=notched_map(N_FFT, notch_scs), n_cp=N_CP, n_symbols=N_SYMBOLS)
-    no_tone = np.isinf(sir_db)
+    no_tone = sir_db == np.inf
 
     cross_pow = np.empty(n_trials)
     y_pow = np.empty(n_trials)

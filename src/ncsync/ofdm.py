@@ -13,7 +13,7 @@ vectors are stored in that centered order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,8 +98,9 @@ class FrameSpec:
             raise ValueError("n_symbols must be >= 1")
         if self.n_empty_prefix < 0:
             raise ValueError("n_empty_prefix must be >= 0")
-        if self.sc_spacing_hz <= 0:
-            raise ValueError("sc_spacing_hz must be positive")
+        if not 0 < self.sc_spacing_hz < np.inf:
+            raise ValueError(f"sc_spacing_hz must be positive and finite, "
+                             f"got {self.sc_spacing_hz}")
 
     @property
     def n_fft(self) -> int:
@@ -204,21 +205,12 @@ def demap_qpsk(symbols) -> np.ndarray:
 
 
 def modulate_symbol(column: np.ndarray, spec: FrameSpec) -> TimeSignal:
-    """Unitary-IDFT one centered subcarrier vector and prepend its CP.
+    """One centered subcarrier vector as a CP-extended symbol, origin n_cp.
 
-    Sample n of the body is (1/sqrt(N)) sum_k d_k exp(j 2 pi n k / N); the CP
-    copies the last n_cp body samples in front, so the returned origin is n_cp.
+    The one-row, no-silence case of build_frame.
     """
-    column = np.asarray(column, dtype=np.complex128)
-    n = spec.n_fft
-    if column.shape != (n,):
-        raise ValueError(f"column must have length {n}, got {column.shape}")
-    body = np.fft.ifft(np.fft.ifftshift(column)) * np.sqrt(n)
-    if spec.n_cp:
-        samples = np.concatenate([body[-spec.n_cp :], body])
-    else:
-        samples = body
-    return TimeSignal(samples, origin=spec.n_cp)
+    one = replace(spec, n_symbols=1, n_empty_prefix=0)
+    return build_frame(SymbolGrid(one, np.asarray(column)[None]))
 
 
 def preamble_from_bits(spec: FrameSpec, bits) -> np.ndarray:
@@ -272,8 +264,9 @@ def build_frame(grid: SymbolGrid) -> TimeSignal:
 
     Layout: n_empty_prefix silent symbol slots, then the preamble symbol
     (grid row 0), then the remaining rows.  origin lands on the first post-CP
-    preamble sample.  Every row goes through the same unitary IDFT and CP
-    copy as modulate_symbol, all rows in one transform.
+    preamble sample.  Body sample n of a row is the unitary IDFT
+    (1/sqrt(N)) sum_k d_k exp(j 2 pi n k / N), all rows in one transform, and
+    each row's CP copies its last n_cp body samples in front.
     """
     spec = grid.spec
     n, n_cp = spec.n_fft, spec.n_cp

@@ -10,6 +10,7 @@ accepts either a path or a preset name.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -65,8 +66,13 @@ class Scenario:
             raise ScenarioError(f"[grid] {exc}") from exc
         if self.n_trials < 1:
             raise ScenarioError("[run] n_trials must be >= 1")
-        if self.cfo_max_hz < 0 or self.nbi_offset_max_hz < 0:
-            raise ScenarioError("cfo/nbi offset bounds must be >= 0")
+        for key, bound in (("[cfo] max_hz", self.cfo_max_hz),
+                           ("[nbi] freq_offset_max_hz", self.nbi_offset_max_hz)):
+            if not 0 <= bound < math.inf:
+                raise ScenarioError(f"{key} must be finite and >= 0, got {bound}")
+        for key in ("f_c", "f_m_hz", "delta_f_hz", "bandwidth_hz"):
+            if not math.isfinite(value := getattr(self.nbi, key)):
+                raise ScenarioError(f"[nbi] {key} must be finite, got {value}")
         # The CFO readout arg(.)/pi is unambiguous only below one spacing.
         if self.cfo_max_hz >= self.frame.sc_spacing_hz:
             raise ScenarioError(f"[cfo] max_hz must be below the subcarrier spacing "

@@ -63,16 +63,21 @@ def test_sweep_command_rejects_a_repeated_bandwidth(tmp_path, capsys):
     assert not (tmp_path / "bandwidth_sweep.csv").exists()
 
 
-@pytest.mark.parametrize("args, samples", [([], 1000), (["--samples", "300"], 300)])
-def test_count_ops_matches_cost_table(capsys, args, samples):
-    rc = main(["count-ops", *args])
+def test_count_ops_matches_cost_table(capsys):
+    rc = main(["count-ops"])
     assert rc == 0
     assert capsys.readouterr().out == (
-        f"per-sample real-operation averages over {samples} counted samples (N = 256):\n"
+        "per-sample real-operation averages over 1000 counted samples (N = 256):\n"
         "algorithm   add/sub  mul/div   sqrt\n"
         "sc           10.000   10.000  0.000\n"
         "nirs         24.000   24.000  1.000\n"
         "cost table check: ok\n")
+
+
+def test_count_ops_takes_no_sample_count():
+    with pytest.raises(SystemExit) as exc:
+        main(["count-ops", "--samples", "300"])
+    assert exc.value.code == 2
 
 
 def test_validate_appendix_self_checks(tmp_path, capsys):
@@ -91,6 +96,16 @@ def test_validate_appendix_rejects_fewer_than_one_grid_or_trial(flag, tmp_path, 
     assert rc == 2
     captured = capsys.readouterr()
     assert f"error: {flag} must be >= 1, got 0" in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "notch_study.csv").exists()
+
+
+@pytest.mark.parametrize("sir", ["nan", "-inf"])
+def test_validate_appendix_rejects_a_sir_without_meaning(sir, tmp_path, capsys):
+    rc = main(["validate-appendix", f"--sir={sir}", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"error: --sir must be a number of dB or +inf (term off), got {sir}" in captured.err
     assert "PASS" not in captured.out
     assert not (tmp_path / "notch_study.csv").exists()
 

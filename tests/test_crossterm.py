@@ -184,6 +184,12 @@ def test_relative_cross_power_basics():
         relative_cross_power(0, 0.0, "optimal", 0, rng)
 
 
+@pytest.mark.parametrize("sir_db", [np.nan, -np.inf])
+def test_relative_cross_power_rejects_a_sir_without_meaning(sir_db):
+    with pytest.raises(ValueError, match="sir_db must be a number of dB"):
+        relative_cross_power(0, sir_db, "optimal", 3, np.random.default_rng(0))
+
+
 def test_wider_notch_leaves_less_cross_power():
     rng = np.random.default_rng(107)
     open_map = relative_cross_power(0, 0.0, "optimal", 80, rng)

@@ -107,6 +107,41 @@ def test_a_bad_nbi_section_fails_at_load(nbi):
         load(name)
 
 
+NON_FINITE_OR_NEGATIVE = [
+    ("quick_demo", "max_hz", "nan", "[cfo] max_hz must be finite and >= 0, got nan"),
+    ("quick_demo", "max_hz", "-1", "[cfo] max_hz must be finite and >= 0, got -1.0"),
+    ("quick_demo", "freq_offset_max_hz", "nan",
+     "[nbi] freq_offset_max_hz must be finite and >= 0, got nan"),
+    ("quick_demo", "freq_offset_max_hz", "inf",
+     "[nbi] freq_offset_max_hz must be finite and >= 0, got inf"),
+    ("quick_demo", "freq_offset_max_hz", "-1",
+     "[nbi] freq_offset_max_hz must be finite and >= 0, got -1.0"),
+    ("quick_demo", "f_c", "nan", "[nbi] f_c must be finite, got nan"),
+    ("quick_demo", "f_c", "inf", "[nbi] f_c must be finite, got inf"),
+    ("sync_error_fm_28k", "f_m_hz", "nan", "[nbi] f_m_hz must be finite, got nan"),
+    ("sync_error_fm_28k", "delta_f_hz", "nan", "[nbi] delta_f_hz must be finite, got nan"),
+    ("sync_error_fm_28k", "delta_f_hz", "inf", "[nbi] delta_f_hz must be finite, got inf"),
+    ("sync_error_wideband_fm", "bandwidth_hz", "nan",
+     "[nbi] bandwidth_hz must be finite, got nan"),
+    ("quick_demo", "sc_spacing_hz", "inf", "sc_spacing_hz must be positive and finite, got inf"),
+    ("quick_demo", "sc_spacing_hz", "nan", "sc_spacing_hz must be positive and finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("name, key, value, named", NON_FINITE_OR_NEGATIVE,
+                         ids=[f"{name}-{key}={value}" for name, key, value, _ in
+                              NON_FINITE_OR_NEGATIVE])
+def test_a_non_finite_or_negative_frequency_fails_at_load_naming_its_key(name, key, value,
+                                                                         named):
+    text = load(name).source_text
+    bad, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        parse_scenario(bad)
+    for preset in preset_names():
+        load(preset)
+
+
 @pytest.mark.parametrize("name, line, misspelt, named", [
     ("sync_error_wideband_fm", "bandwidth_hz = 200000", "bandwith_hz = 60000",
      "[nbi] bandwith_hz"),
