@@ -209,19 +209,24 @@ def mean_power(x: np.ndarray) -> float:
     return float(np.mean(np.abs(x) ** 2))
 
 
-def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec,
-                      active: slice, rng: np.random.Generator) -> MixResult:
+def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slice,
+                      noise: np.ndarray | np.random.Generator) -> MixResult:
     """Scale interference and noise to the requested SIR/SNR and sum.
 
     `active` is a buffer-index slice over which the signal power reference is
-    measured (the non-silent portion of y, channel tail included).  The noise
-    vector is renormalized over that same slice so that the realized SNR
-    matches the request exactly rather than only in expectation.  np.inf for
-    snr_db or sir_db zeroes the corresponding term (MixSpec admits no NaN
-    and no -inf).
+    measured (the non-silent portion of y, channel tail included).  `noise`
+    is a raw complex Gaussian draw as long as y, which is renormalized over
+    that same slice so that the realized SNR matches the request exactly
+    rather than only in expectation; so one draw serves every level.  A
+    generator in its place is drawn from, as
+    `standard_normal(2 * len(y)).view(complex128)`, only at a finite SNR.
+    np.inf for snr_db or sir_db zeroes the corresponding term (MixSpec admits
+    no NaN and no -inf).
     """
     if len(nbi) != len(y) or nbi.origin != y.origin:
         raise ValueError("nbi buffer must match y in length and origin")
+    if isinstance(noise, np.ndarray) and noise.shape != y.samples.shape:
+        raise ValueError("noise draw must match y in length")
     sig = y.samples
     p_sig = mean_power(sig[active])
     if p_sig <= 0:
@@ -239,7 +244,8 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec,
         noise_part = np.zeros_like(sig)
     else:
         sigma_w2 = p_sig * 10.0 ** (-mix.snr_db / 10.0)
-        raw = rng.standard_normal(2 * sig.size).view(np.complex128)
+        raw = (noise.standard_normal(2 * sig.size).view(np.complex128)
+               if isinstance(noise, np.random.Generator) else noise)
         # Scale against the realized power over the active region, not the
         # ensemble expectation, so the requested SNR is hit exactly.
         noise_part = raw * np.sqrt(sigma_w2 / mean_power(raw[active]))

@@ -1,12 +1,12 @@
 """Monte-Carlo orchestration: trials, cells, and deterministic outputs.
 
-Each (SNR, SIR) cell runs n_trials independent frame realizations; every
-detector in the scenario sees the same realizations, so algorithm comparisons
-are paired.  Per-trial randomness comes from
-SeedSequence((master_seed, crc32(cell_key), trial_index)) with a fixed draw
-order, which makes runs reproducible byte-for-byte, keeps trial streams
-disjoint, and lets cells or trials be farmed out in any order without
-changing results.
+Trial t's frame (bits, data, channel, CFO, interferer, raw noise) is drawn
+from SeedSequence((master_seed, crc32(key), t)) in a fixed order; only the mix
+sets its SNR and SIR.  A plan (the grid, or the sweep per bandwidth) draws each
+trial once from one plan-level key and scores it in all its cells (common
+random numbers), so its cells are positively correlated, not independent.
+Every detector sees the same frames, so algorithm comparisons are paired.
+Runs repeat byte for byte; a cell run alone with its plan's key gives its rows.
 """
 
 from __future__ import annotations
@@ -31,13 +31,16 @@ from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipat
                           calibrate_and_mix, check_level_db, draw_channel_cost207tu,
                           gen_nbi)
 from .metrics import MetricTrace, compute_trace
-from .ofdm import SymbolGrid, build_frame, preamble_from_bits, random_data_symbol
+from .ofdm import SymbolGrid, TimeSignal, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
 from .streaming import OpCounters, model_counters
 
+# Trial indices a plan draws at once (~200 KB each); no row depends on it.
+_BLOCK = 64
+
 
 def trial_rng(master_seed: int, cell_key: str, trial: int) -> np.random.Generator:
-    """Deterministic, stream-disjoint generator for one trial of one cell."""
+    """Deterministic, stream-disjoint generator for one trial of one key."""
     return np.random.default_rng(
         np.random.SeedSequence((master_seed, zlib.crc32(cell_key.encode()), trial)))
 
@@ -53,14 +56,26 @@ class TrialRecord:
     trace: MetricTrace | None = None
 
 
-def _receive(sc: Scenario, snr_db: float, sir_db: float, rng: np.random.Generator):
-    """One frame through the impairment chain: (received, preamble bits,
-    channel, true CFO).
+@dataclass
+class Realization:
+    """A frame `_draw`n up to the mix; its first scoring sets `h` (even bins)."""
+
+    y: TimeSignal  # after channel and CFO
+    nbi: TimeSignal  # unit envelope
+    noise: np.ndarray  # raw unit complex Gaussian draw
+    bits: np.ndarray
+    ch: ChannelRealization
+    nu: float
+    h: np.ndarray | None = None
+
+
+def _draw(sc: Scenario, rng: np.random.Generator) -> Realization:
+    """One frame through the impairment chain, before the mix.
 
     Draw order (fixed for reproducibility, and written only here): preamble
-    bits, data symbols, channel, CFO, interferer offset and phases, noise.
-    Detectors consume no randomness, so a realization does not depend on
-    what is done with it.
+    bits, data symbols, channel, CFO, interferer offset and phases, noise
+    (drawn at every SNR).  Detectors consume no randomness, so a realization
+    does not depend on what is done with it.
     """
     spec = sc.frame
     n_fft = spec.n_fft
@@ -85,38 +100,50 @@ def _receive(sc: Scenario, snr_db: float, sir_db: float, rng: np.random.Generato
     nbi = gen_nbi(sc.nbi_spec(phase0=phase0, freq_offset_hz=offset),
                   len(y), y.origin, n_fft, rng)
 
-    active = slice(spec.n_empty_prefix * spec.symbol_len, None)
-    mix = calibrate_and_mix(y_cfo, nbi, MixSpec(snr_db, sir_db), active, rng)
-    return mix.received, bits, ch, nu
+    noise = rng.standard_normal(2 * len(y_cfo)).view(np.complex128)
+    return Realization(y_cfo, nbi, noise, bits, ch, nu)
+
+
+def _receive(sc: Scenario, snr_db: float, sir_db: float,
+             rng: np.random.Generator | Realization) -> tuple[TimeSignal, Realization]:
+    """A frame, or one `_draw`n from `rng`, mixed: (received, frame)."""
+    frame = rng if isinstance(rng, Realization) else _draw(sc, rng)
+    active = slice(sc.frame.n_empty_prefix * sc.frame.symbol_len, None)
+    mix = calibrate_and_mix(frame.y, frame.nbi, MixSpec(snr_db, sir_db), active, frame.noise)
+    return mix.received, frame
 
 
 def run_trial(sc: Scenario, snr_db: float, sir_db: float,
-              rng: np.random.Generator, keep_trace: bool = False) -> TrialRecord:
+              rng: np.random.Generator | Realization, keep_trace: bool = False) -> TrialRecord:
     """One frame realized by `_receive`, traced, then detected and scored by
     every detector.  A trace dump (`emit_trace`) stops after the trace."""
     spec = sc.frame
-    n_fft = spec.n_fft
-    received, bits, ch, nu = _receive(sc, snr_db, sir_db, rng)
-    trace = compute_trace(received, n_fft, with_nirs="nirs" in sc.algorithms)
+    received, frame = _receive(sc, snr_db, sir_db, rng)
+    trace = compute_trace(received, spec.n_fft, with_nirs="nirs" in sc.algorithms)
     counted = len(trace) - 1
-    h = ch.freq_response(spec.smap.even_occupied(), n_fft)
+    if frame.h is None:
+        frame.h = frame.ch.freq_response(spec.smap.even_occupied(), spec.n_fft)
     results: dict[str, SyncResult] = {}
     outcomes: dict[str, TrialOutcome] = {}
     for algo in sc.algorithms:
         res = detect(trace, mode=algo, timing_rule=sc.timing_rule)
-        errs, total = ber_preamble(received, res, h, bits, spec)
+        errs, total = ber_preamble(received, res, frame.h, frame.bits, spec)
         results[algo] = res
-        outcomes[algo] = classify(res, nu, spec.n_cp, errs, total)
-    return TrialRecord(true_cfo=nu, results=results, outcomes=outcomes,
+        outcomes[algo] = classify(res, frame.nu, spec.n_cp, errs, total)
+    return TrialRecord(true_cfo=frame.nu, results=results, outcomes=outcomes,
                        ops={algo: model_counters(algo, counted) for algo in sc.algorithms},
                        trace=trace if keep_trace else None)
 
 
 def run_cell(sc: Scenario, snr_db: float, sir_db: float, n_trials: int,
-             master_seed: int, cell_key: str) -> dict[str, list[TrialOutcome]]:
+             master_seed: int, cell_key: str, _drawn=None) -> dict[str, list[TrialOutcome]]:
+    """Outcomes of trials 0 .. n_trials - 1 at one (SNR, SIR), per detector.
+    `cell_key` names a realization stream, so a cell run with its plan's key
+    gives the outcomes it has in the plan; a plan passes its frames as `_drawn`."""
+    frames = _drawn or (trial_rng(master_seed, cell_key, t) for t in range(n_trials))
     out: dict[str, list[TrialOutcome]] = {algo: [] for algo in sc.algorithms}
-    for t in range(n_trials):
-        rec = run_trial(sc, snr_db, sir_db, trial_rng(master_seed, cell_key, t))
+    for frame in frames:
+        rec = run_trial(sc, snr_db, sir_db, frame)
         for algo in sc.algorithms:
             out[algo].append(rec.outcomes[algo])
     return out
@@ -135,35 +162,39 @@ def _check_trials(n_trials: int) -> int:
     return n_trials
 
 
-def _run_plan(sc: Scenario, plan, columns: tuple[str, ...], trials: int | None,
+def _run_plan(sc: Scenario, key: str, plan, columns: tuple[str, ...], trials: int | None,
               seed: int | None, out_dir: str | Path | None, fname: str) -> list[dict]:
-    """Run a plan of (cell key, scenario variant, SNR, SIR, leading columns).
+    """Run a plan of (scenario variant, its cells of (SNR, SIR, leading columns)).
 
-    Returns one row per cell and algorithm, in plan order, holding `columns`
-    out of the leading columns, the algorithm, the interferer kind and the
-    aggregate statistics.  With out_dir, the rows go to out_dir/fname.  Cells
-    with equal leading values (listed twice, or 0 and -0) fail before any trial.
+    A variant draws trial t once, from trial_rng(seed, key, t), and scores
+    each block of `_BLOCK` trials cell by cell.  Returns one row per cell and
+    algorithm, in plan order: `columns` out of the leading columns, algorithm,
+    interferer kind and aggregate statistics (to out_dir/fname with out_dir).
+    Cells with equal leading values (listed twice, or 0 and -0) fail first.
     """
     n_trials = _check_trials(sc.n_trials if trials is None else trials)
-    counts = Counter(tuple(cell[4].values()) for cell in plan)
-    repeated = [cell[0] for cell in plan if counts[tuple(cell[4].values())] > 1]
+    leads = Counter(tuple(lead.values()) for _, cells in plan for *_, lead in cells)
+    repeated = [lead for lead, count in leads.items() if count > 1]
     if repeated:
         raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
                          f"is listed twice")
     master_seed = sc.master_seed if seed is None else seed
     rows: list[dict] = []
-    for cell_key, cell_sc, snr_db, sir_db, lead in plan:
-        per_algo = run_cell(cell_sc, snr_db, sir_db, n_trials, master_seed, cell_key)
-        for algo in cell_sc.algorithms:
-            stats = aggregate(per_algo[algo])
-            row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi.kind,
-                   "p_sync_error": stats.p_sync_error,
-                   "ci95_halfwidth": stats.ci_halfwidth,
-                   "mse_time_samples2": stats.mse_time,
-                   "mse_freq_sc2": stats.mse_freq,
-                   "ber_preamble": stats.ber,
-                   "n_trials": stats.n_trials}
-            rows.append({key: row[key] for key in columns})
+    for cell_sc, cells in plan:
+        per_cell = [[] for _ in cells]  # run_cell's outcomes, one dict per block
+        for start in range(0, n_trials, _BLOCK):
+            block = [_draw(cell_sc, trial_rng(master_seed, key, t))
+                     for t in range(start, min(start + _BLOCK, n_trials))]
+            for (snr_db, sir_db, _), got in zip(cells, per_cell):
+                got.append(run_cell(cell_sc, snr_db, sir_db, len(block), master_seed, key, block))
+        for (*_, lead), got in zip(cells, per_cell):
+            for algo in cell_sc.algorithms:
+                stats = aggregate([out for outs in got for out in outs[algo]])
+                row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi.kind,
+                       "p_sync_error": stats.p_sync_error, "ci95_halfwidth": stats.ci_halfwidth,
+                       "mse_time_samples2": stats.mse_time, "mse_freq_sc2": stats.mse_freq,
+                       "ber_preamble": stats.ber, "n_trials": stats.n_trials}
+                rows.append({col: row[col] for col in columns})
     _write_outputs(out_dir, fname, rows, sc, master_seed, n_trials)
     return rows
 
@@ -178,11 +209,11 @@ def _write_outputs(out_dir: str | Path | None, fname: str, rows: list[dict],
 
 def run_scenario(sc: Scenario, out_dir: str | Path | None = None,
                  trials: int | None = None, seed: int | None = None) -> list[dict]:
-    """Run the whole grid; returns result rows, optionally writing CSV+manifest."""
-    plan = [(f"snr={snr_db!r}|sir={sir_db!r}", sc, snr_db, sir_db,
-             {"snr_db": snr_db, "sir_db": sir_db})
-            for snr_db in sc.snr_grid for sir_db in sc.sir_grid]
-    return _run_plan(sc, plan, RESULT_COLUMNS, trials, seed, out_dir, "results.csv")
+    """Run the whole grid, every cell on the frames drawn under the key "grid";
+    returns result rows, optionally writing CSV+manifest."""
+    plan = [(sc, [(snr_db, sir_db, {"snr_db": snr_db, "sir_db": sir_db})
+                  for snr_db in sc.snr_grid for sir_db in sc.sir_grid])]
+    return _run_plan(sc, "grid", plan, RESULT_COLUMNS, trials, seed, out_dir, "results.csv")
 
 
 def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
@@ -195,7 +226,8 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     rule, delta_f = bandwidth/2 - f_m, so bandwidths at or below 2 f_m are
     rejected.  They, an empty bandwidth or SIR list, a repeated bandwidth or
     SIR, and a NaN or -inf SNR or SIR are rejected before any trial runs.
-    The scenario's own SNR grid and interferer kind are overridden.
+    The scenario's own SNR grid and interferer kind are overridden.  Each
+    bandwidth re-draws the frames of the key "sweep" with its own interferer.
     """
     bandwidths = tuple(bandwidths_hz if bandwidths_hz is not None
                        else sc.sweep_bandwidths_hz)
@@ -206,12 +238,10 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
         raise ValueError("no SIR values given (sir_list or [grid] sir_db)")
     check_level_db("snr_db", snr_db)
     check_level_db("sir_db", *sirs)
-    plan = []
-    for bw in bandwidths:
-        sweep_sc = replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw))
-        plan += [(f"bw={bw!r}|snr={snr_db!r}|sir={sir_db!r}", sweep_sc, snr_db, sir_db,
-                  {"bandwidth_hz": bw, "sir_db": sir_db}) for sir_db in sirs]
-    return _run_plan(sc, plan, SWEEP_COLUMNS, trials, seed, out_dir,
+    plan = [(replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw)),
+             [(snr_db, sir_db, {"bandwidth_hz": bw, "sir_db": sir_db}) for sir_db in sirs])
+            for bw in bandwidths]
+    return _run_plan(sc, "sweep", plan, SWEEP_COLUMNS, trials, seed, out_dir,
                      "bandwidth_sweep.csv")
 
 

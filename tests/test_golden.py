@@ -34,15 +34,15 @@ NUMPY_VERSION = "2.4.6"
 # "<job>/<file>" -> SHA-256 of the file the job writes (see _produce).
 GOLDEN = {
     "quick_demo/results.csv":
-        "c288e2ad5fc6c9445d7ee6bc45d5756f6f12bdb926488d6c9908286b06cef7a1",
+        "c6bcf046ded64b5c23602396de53989b4323fbcffe6baefdce84752c8f7a0383",
     "sync_error_ideal_tone/results.csv":
-        "4f3f70456a4d45aea6eb8ac7793b9153e9eac046a1174a429b91a3dd51d2de73",
+        "6aa99f6c9d4ed7bb089739d37fbec1b9baa220f6f068f056a20445415f41c529",
     "sync_error_fm_28k/results.csv":
-        "e8cde8ddb774cc90d91f596089663e8c39a4b0423619b7c452626ac1547b5fae",
+        "8356a3348cd9b5beeda0b23ece7eb2bd0e8cdf40a021fe7a5331f38804f86d0c",
     "sync_error_wideband_fm/results.csv":
-        "1ac4a10679afa2d7de249dc7a32b08f5f77b5016f4d7b7eea1d0a95d6e0d9853",
+        "bb2d3abbf50a4717a5ca32aab58b64428b33c9f2acb44ac9f05e58b4cfd52456",
     "nbi_bandwidth_sweep/bandwidth_sweep.csv":
-        "6321cbd62fa7ffe336a65c63fd7de6135e9e0e53432c3ddf79bd7126d50a94bd",
+        "a34e00469adde3d5cdf2e127325bcdfed19c2632b4430bf3841f34a6b4e7812d",
     "trace/trace.csv":
         "0dbdc229255103aec94e205f8fa809fc69bcae34a83ea0b258023896a3664c61",
     "trace_pct/trace_percentiles.csv":

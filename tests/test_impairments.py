@@ -167,7 +167,8 @@ def test_calibration_hits_requested_levels():
     y = cn_signal(rng, 2000, origin=500)
     nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=24.5), 2000, 500, N_FFT)
     active = slice(400, None)
-    mix = calibrate_and_mix(y, nbi, MixSpec(snr_db=13.0, sir_db=4.0), active, rng)
+    mix = calibrate_and_mix(y, nbi, MixSpec(snr_db=13.0, sir_db=4.0), active,
+                            rng.standard_normal(2 * 2000).view(np.complex128))
 
     p_sig = mean_power(y.samples[active])
     p_nbi = mean_power(mix.nbi_part[active])
@@ -187,7 +188,7 @@ def test_calibration_inf_sentinels_disable_terms():
     y = cn_signal(rng, 300)
     nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=10.0), 300, 0, N_FFT)
     mix = calibrate_and_mix(y, nbi, MixSpec(snr_db=np.inf, sir_db=np.inf),
-                            slice(0, None), rng)
+                            slice(0, None), rng.standard_normal(2 * 300).view(np.complex128))
     assert np.all(mix.noise_part == 0)
     assert np.all(mix.nbi_part == 0)
     assert mix.sigma_i2 == 0.0 and mix.sigma_w2 == 0.0
@@ -209,7 +210,7 @@ def test_calibration_sir_100db_power_gap():
     y = cn_signal(rng, 1000)
     nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=24.5), 1000, 0, N_FFT)
     mix = calibrate_and_mix(y, nbi, MixSpec(snr_db=np.inf, sir_db=100.0),
-                            slice(0, None), rng)
+                            slice(0, None), rng.standard_normal(2 * 1000).view(np.complex128))
     gap = mean_power(y.samples) / mean_power(mix.nbi_part)
     np.testing.assert_allclose(gap, 1e10, rtol=1e-6)
 
@@ -219,14 +220,35 @@ def test_calibration_rejects_bad_buffers():
     y = cn_signal(rng, 100)
     short = gen_nbi(NbiSpec(kind="ideal_tone", f_c=1.0), 99, 0, N_FFT)
     with pytest.raises(ValueError):
-        calibrate_and_mix(y, short, MixSpec(10, 10), slice(0, None), rng)
+        calibrate_and_mix(y, short, MixSpec(10, 10), slice(0, None),
+                          rng.standard_normal(2 * 100).view(np.complex128))
     moved = gen_nbi(NbiSpec(kind="ideal_tone", f_c=1.0), 100, 5, N_FFT)
     with pytest.raises(ValueError):
-        calibrate_and_mix(y, moved, MixSpec(10, 10), slice(0, None), rng)
+        calibrate_and_mix(y, moved, MixSpec(10, 10), slice(0, None),
+                          rng.standard_normal(2 * 100).view(np.complex128))
     silent = TimeSignal(np.zeros(100, dtype=complex), origin=0)
     tone = gen_nbi(NbiSpec(kind="ideal_tone", f_c=1.0), 100, 0, N_FFT)
     with pytest.raises(ValueError):
-        calibrate_and_mix(silent, tone, MixSpec(10, 10), slice(0, None), rng)
+        calibrate_and_mix(silent, tone, MixSpec(10, 10), slice(0, None),
+                          rng.standard_normal(2 * 100).view(np.complex128))
+    with pytest.raises(ValueError, match="noise draw"):
+        calibrate_and_mix(y, tone, MixSpec(10, 10), slice(0, None),
+                          rng.standard_normal(2 * 99).view(np.complex128))
+
+
+def test_mix_draws_from_a_generator_only_at_a_finite_snr():
+    # A generator in place of the noise draw is drawn from as the draw is
+    # made, so the mix is the same either way.
+    y = cn_signal(np.random.default_rng(13), 400, origin=50)
+    nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=24.5), 400, 50, N_FFT)
+    active = slice(100, None)
+    drawn = np.random.default_rng(14).standard_normal(2 * 400).view(np.complex128)
+    want = calibrate_and_mix(y, nbi, MixSpec(13.0, 4.0), active, drawn)
+    got = calibrate_and_mix(y, nbi, MixSpec(13.0, 4.0), active, np.random.default_rng(14))
+    assert got.received.samples.tobytes() == want.received.samples.tobytes()
+    rng = np.random.default_rng(15)
+    calibrate_and_mix(y, nbi, MixSpec(np.inf, 4.0), active, rng)
+    assert rng.uniform() == np.random.default_rng(15).uniform()
 
 
 def test_urban_channel_profile():

@@ -12,7 +12,8 @@ import pytest
 import ncsync.runner
 from ncsync.impairments import NbiSpec, carson_deviation_hz, gen_nbi
 from ncsync.ofdm import FrameSpec
-from ncsync.runner import (emit_trace, run_nbi_bandwidth_sweep, run_scenario,
+from ncsync.evaluate import aggregate
+from ncsync.runner import (emit_trace, run_cell, run_nbi_bandwidth_sweep, run_scenario,
                            run_trial, trial_rng, write_csv, _receive)
 from ncsync.scenario import (Scenario, ScenarioError, load, parse_scenario,
                              parse_subcarrier_ranges, preset_names)
@@ -435,6 +436,72 @@ def test_receive_draws_as_run_trial(name, cell, monkeypatch):
         assert received.origin == seen[-1].origin
         assert received.samples.tobytes() == seen[-1].samples.tobytes()
         assert rng_receive.uniform() == rng_trial.uniform()
+
+
+# A plan draws trial t once, from its plan-level key ("grid" for run_scenario,
+# "sweep" for the bandwidth sweep), and scores that frame in every cell.
+@pytest.mark.parametrize("name, grid", [
+    ("quick_demo", {}),  # SIR 0 dB and inf
+    ("sync_error_ideal_tone", {"snr_grid": (20.0, 8.0), "sir_grid": (0.0, 100.0)})])
+def test_every_cell_of_a_plan_traces_the_frame_receive_makes_from_the_plan_key(
+        name, grid, monkeypatch):
+    sc = replace(load(name), **grid)
+    seen = []
+    compute_trace = ncsync.runner.compute_trace
+    monkeypatch.setattr(ncsync.runner, "compute_trace",
+                        lambda r, *args, **kw: seen.append(r) or compute_trace(r, *args, **kw))
+    trials, seed = 3, 17
+    run_scenario(sc, trials=trials, seed=seed)
+    cells = [(snr, sir) for snr in sc.snr_grid for sir in sc.sir_grid]
+    assert len(seen) == len(cells) * trials
+    for got, ((snr, sir), t) in zip(seen, ((cell, t) for cell in cells for t in range(trials))):
+        want, *_ = _receive(sc, snr, sir, trial_rng(seed, "grid", t))
+        assert got.origin == want.origin
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _stats(outcomes):
+    stats = aggregate(outcomes)
+    return (stats.p_sync_error, stats.ci_halfwidth, stats.mse_time, stats.mse_freq,
+            stats.ber, stats.n_trials)
+
+
+def test_plan_rows_are_the_rows_of_its_cells_run_alone_with_the_plan_key():
+    sc, trials, seed = load("quick_demo"), 4, 23
+    want = []
+    for snr in sc.snr_grid:
+        for sir in sc.sir_grid:
+            out = run_cell(sc, snr, sir, trials, seed, "grid")
+            want += [(snr, sir, algo, *_stats(out[algo])) for algo in sc.algorithms]
+    rows = run_scenario(sc, trials=trials, seed=seed)
+    assert [(row["snr_db"], row["sir_db"], row["algorithm"], row["p_sync_error"],
+             row["ci95_halfwidth"], row["mse_time_samples2"], row["mse_freq_sc2"],
+             row["ber_preamble"], row["n_trials"]) for row in rows] == want
+
+    sweep = load("nbi_bandwidth_sweep")
+    want = []
+    for bw in (8000.0, 64000.0):
+        bw_sc = replace(sweep, nbi=replace(sweep.nbi, kind="fm_wideband", bandwidth_hz=bw))
+        for sir in (-10.0, 10.0):
+            out = run_cell(bw_sc, 20.0, sir, trials, seed, "sweep")
+            want += [(bw, sir, algo, *_stats(out[algo])[:2], trials) for algo in sweep.algorithms]
+    rows = run_nbi_bandwidth_sweep(sweep, bandwidths_hz=(8000.0, 64000.0),
+                                   sir_list=(-10.0, 10.0), trials=trials, seed=seed)
+    assert [tuple(row.values()) for row in rows] == want
+
+
+def test_rows_do_not_depend_on_the_block_size(monkeypatch):
+    sc, sweep = load("quick_demo"), load("nbi_bandwidth_sweep")
+
+    def run():
+        return (run_scenario(sc, trials=5, seed=29),
+                run_nbi_bandwidth_sweep(sweep, bandwidths_hz=(8000.0, 64000.0),
+                                        sir_list=(0.0, 10.0), trials=4, seed=29))
+
+    default = run()
+    for block in (1, 3):
+        monkeypatch.setattr(ncsync.runner, "_BLOCK", block)
+        assert run() == default
 
 
 def test_bandwidth_sweep_checks_every_bandwidth_before_any_trial(monkeypatch):
