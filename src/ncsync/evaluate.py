@@ -51,17 +51,19 @@ def classify(result: SyncResult, true_cfo: float, n_cp: int,
                         bits_total=bits_total)
 
 
-def ber_preamble(r: TimeSignal, sync: SyncResult, h: np.ndarray,
-                 preamble_bits: np.ndarray, spec: FrameSpec) -> tuple[int, int]:
-    """Demodulate the preamble at the detected position and count bit errors.
+def ber_preamble(r: TimeSignal, syncs: list[SyncResult], h: np.ndarray,
+                 preamble_bits: np.ndarray, spec: FrameSpec) -> list[tuple[int, int]]:
+    """Demodulate the preamble at each detected position in `syncs` (at least
+    one) and count bit errors: one (errors, bits) per detection, in order.
 
     The receiver-side chain: de-rotate the estimated CFO, take the unitary DFT
     of the N samples starting at n_hat, then zero-force each preamble bin by
     the known channel response and the timing-offset phase ramp
-    exp(j 2 pi k n_hat / N) before hard QPSK decisions.  h is the channel
-    response at the preamble bins (spec.smap.even_occupied()), one value per
-    bin.  Bins where it is exactly zero cannot be equalized; they are skipped
-    (with a warning) and excluded from the bit total.
+    exp(j 2 pi k n_hat / N) before hard QPSK decisions; one FFT serves all the
+    stacked windows, and each detection's bits are those it would get alone.
+    h is the channel response at the preamble bins (spec.smap.even_occupied()),
+    one value per bin.  Bins where it is exactly zero cannot be equalized; they
+    are skipped (with a warning per detection) and excluded from the bit total.
     """
     n_fft = spec.n_fft
     even = spec.smap.even_occupied()
@@ -75,25 +77,26 @@ def ber_preamble(r: TimeSignal, sync: SyncResult, h: np.ndarray,
     if h.shape != (even.size,):
         raise ValueError(f"expected {even.size} channel response values, one per "
                          f"preamble bin, got shape {h.shape}")
-    window = r.window(sync.n_hat, n_fft)
-    n_idx = sync.n_hat + np.arange(n_fft)
-    derotated = window * np.exp(-2j * np.pi * sync.nu_hat * n_idx / n_fft)
+    if not syncs:
+        raise ValueError("no detections to demodulate")
+    n_hat = np.array([[s.n_hat] for s in syncs])
+    nu_hat = np.array([[s.nu_hat] for s in syncs])
+    windows = np.stack([r.window(s.n_hat, n_fft) for s in syncs])
+    n_idx = n_hat + np.arange(n_fft)
+    derotated = windows * np.exp(-2j * np.pi * nu_hat * n_idx / n_fft)
     # Centered bin k sits at FFT output index k mod N.
-    at_even = np.fft.fft(derotated)[even % n_fft] / np.sqrt(n_fft)
+    at_even = np.fft.fft(derotated)[:, even % n_fft] / np.sqrt(n_fft)
+    ramp = np.exp(2j * np.pi * even * n_hat / n_fft)
 
     usable = np.abs(h) > 0
-    n_skipped = int(np.count_nonzero(~usable))
-    if n_skipped:
-        warnings.warn(f"skipping {n_skipped} preamble bin(s) with zero channel response",
-                      RuntimeWarning, stacklevel=2)
-    ramp = np.exp(2j * np.pi * even * sync.n_hat / n_fft)
-    d_hat = np.zeros(even.size, dtype=np.complex128)
-    d_hat[usable] = at_even[usable] / (h[usable] * ramp[usable])
-
-    decided = demap_qpsk(d_hat).reshape(-1, 2)
-    truth = preamble_bits.reshape(-1, 2)
-    errors = int(np.sum(decided[usable] != truth[usable]))
-    return errors, int(2 * np.count_nonzero(usable))
+    n_usable = int(np.count_nonzero(usable))
+    for _ in syncs if n_usable < even.size else ():
+        warnings.warn(f"skipping {even.size - n_usable} preamble bin(s) with zero "
+                      f"channel response", RuntimeWarning, stacklevel=2)
+    usable = usable if n_usable < even.size else slice(None)  # all bins: views, no copies
+    d_hat = at_even[:, usable] / (h[usable] * ramp[:, usable])
+    wrong = demap_qpsk(d_hat).reshape(len(syncs), -1, 2) != preamble_bits.reshape(-1, 2)[usable]
+    return [(int(errors), 2 * n_usable) for errors in wrong.sum(axis=(1, 2))]
 
 
 def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:

@@ -210,7 +210,8 @@ def mean_power(x: np.ndarray) -> float:
 
 
 def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slice,
-                      noise: np.ndarray | np.random.Generator) -> MixResult:
+                      noise: np.ndarray | np.random.Generator, *,
+                      powers: tuple[float, float] | None = None) -> MixResult:
     """Scale interference and noise to the requested SIR/SNR and sum.
 
     `active` is a buffer-index slice over which the signal power reference is
@@ -220,6 +221,8 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
     rather than only in expectation; so one draw serves every level.  A
     generator in its place is drawn from, as
     `standard_normal(2 * len(y)).view(complex128)`, only at a finite SNR.
+    `powers` = (mean_power(y.samples[active]), mean_power(noise[active])),
+    measured once for a draw mixed at several levels, skips measuring them.
     np.inf for snr_db or sir_db zeroes the corresponding term (MixSpec admits
     no NaN and no -inf).
     """
@@ -228,7 +231,7 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
     if isinstance(noise, np.ndarray) and noise.shape != y.samples.shape:
         raise ValueError("noise draw must match y in length")
     sig = y.samples
-    p_sig = mean_power(sig[active])
+    p_sig = mean_power(sig[active]) if powers is None else powers[0]
     if p_sig <= 0:
         raise ValueError("signal power over the active region is zero")
 
@@ -248,7 +251,8 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
                if isinstance(noise, np.random.Generator) else noise)
         # Scale against the realized power over the active region, not the
         # ensemble expectation, so the requested SNR is hit exactly.
-        noise_part = raw * np.sqrt(sigma_w2 / mean_power(raw[active]))
+        p_noise = mean_power(raw[active]) if powers is None else powers[1]
+        noise_part = raw * np.sqrt(sigma_w2 / p_noise)
 
     received = TimeSignal(sig + nbi_part + noise_part, origin=y.origin)
     return MixResult(received, nbi_part, noise_part, sigma_i2, sigma_w2)

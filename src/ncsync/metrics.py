@@ -69,12 +69,13 @@ def _pick(mode: str, sc: np.ndarray, nirs: np.ndarray | None) -> np.ndarray:
 
 def nirs_numerator(g, q):
     """Tone-cancelling numerator G - Q^2 / |Q| (defined as G where Q = 0)."""
-    g = np.asarray(g, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
     mag = np.abs(q)
-    corr = np.zeros_like(q)
-    np.divide(q * q, mag, out=corr, where=mag > 0)
-    return g - corr
+    nonzero = mag > 0
+    corr = np.multiply(q, q, out=np.empty_like(q))
+    np.divide(corr, mag, out=corr, where=nonzero)
+    np.copyto(corr, 0.0, where=~nonzero)
+    return np.subtract(g, corr, out=corr)
 
 
 def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
@@ -87,10 +88,10 @@ def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
 
 def _safe_ratio_sq(num: np.ndarray, mm: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """|num|^2 / mm where positive, else 0 (mm = M^2, positive = M > 0)."""
-    mag2 = np.abs(num)
-    np.square(mag2, out=mag2)
-    out = np.zeros(num.shape, dtype=np.float64)
-    np.divide(mag2, mm, out=out, where=positive)
+    out = np.abs(num)
+    np.square(out, out=out)
+    np.divide(out, mm, out=out, where=positive)
+    np.copyto(out, 0.0, where=~positive)
     return out
 
 
@@ -101,7 +102,8 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     buffer of T samples yields T - N + 1 entries.  Windows where M(n) = 0 get
     metric 0 by convention.  Raises ValueError for an n_fft check_n_fft
     rejects, and names the first non-finite sample, which would otherwise
-    blank every later window's metric.
+    blank every later window's metric: the samples are scanned only when the
+    energy's running sum ends non-finite, and pass if |r|^2 merely overflows.
     """
     check_n_fft(n_fft)
     s = r.samples
@@ -110,17 +112,20 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     n_windows = s.size - n_fft + 1
     if n_windows < 1:
         raise ValueError(f"buffer of {s.size} samples is shorter than one window ({n_fft})")
-    if not np.isfinite(s).all():
+    energy = s.real * s.real + s.imag * s.imag
+    np.cumsum(energy, out=energy)
+    if not np.isfinite(energy[-1]) and not np.isfinite(s).all():
         u = int(np.argmin(np.isfinite(s)))
         raise ValueError(f"sample {u} (n = {u - r.origin}) is not finite: {s[u]}")
+    m = _sliding_sum(energy, half)[half:]
+    del energy
 
     # Each temporary is dropped once used, summands before their window sums:
     # on a long capture they would otherwise add several buffer sizes to the peak.
-    half_products = np.conj(s[:-half]) * s[half:]
-    g = _sliding_sum(np.cumsum(half_products), half)
-    del half_products
-
-    m = _sliding_sum(np.cumsum(s.real * s.real + s.imag * s.imag), half)[half:]
+    s_conj = np.conj(s)
+    products = s_conj[:-half] * s[half:]
+    g = _sliding_sum(np.cumsum(products, out=products), half)
+    del products
 
     mm = m * m
     positive = m > 0
@@ -130,10 +135,14 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     if not with_nirs:
         return MetricTrace(n=n_axis, g=g, m=m, metric_sc=metric_sc)
 
-    quarter_products = np.conj(s[:-quarter]) * s[quarter:]
-    s4 = _sliding_sum(np.cumsum(quarter_products), quarter)
-    q = 0.5 * (s4[:n_windows] + 2.0 * s4[quarter : quarter + n_windows]
-               + s4[half : half + n_windows])
+    products = s_conj[:-quarter] * s[quarter:]
+    del s_conj
+    s4 = _sliding_sum(np.cumsum(products, out=products), quarter)
+    del products
+    q = 2.0 * s4[quarter : quarter + n_windows]  # 0.5 (s4[n] + 2 s4[n + N/4] + s4[n + N/2])
+    q += s4[:n_windows]
+    q += s4[half : half + n_windows]
+    q *= 0.5
     del s4
     g_nirs = nirs_numerator(g, q)
     metric_nirs = _safe_ratio_sq(g_nirs, mm, positive)

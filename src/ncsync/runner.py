@@ -29,7 +29,7 @@ from .detect import SyncResult, detect
 from .evaluate import TrialOutcome, aggregate, ber_preamble, classify
 from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipath,
                           calibrate_and_mix, check_level_db, draw_channel_cost207tu,
-                          gen_nbi)
+                          gen_nbi, mean_power)
 from .metrics import MetricTrace, compute_trace
 from .ofdm import SymbolGrid, TimeSignal, build_frame, preamble_from_bits, random_data_symbol
 from .scenario import Scenario
@@ -58,11 +58,14 @@ class TrialRecord:
 
 @dataclass
 class Realization:
-    """A frame `_draw`n up to the mix; its first scoring sets `h` (even bins)."""
+    """A frame `_draw`n up to the mix and the powers its mixes scale to; its
+    first scoring sets `h` (even bins)."""
 
     y: TimeSignal  # after channel and CFO
     nbi: TimeSignal  # unit envelope
     noise: np.ndarray  # raw unit complex Gaussian draw
+    active: slice  # the frame after its silence, where the mix measures powers
+    powers: tuple[float, float]  # mean powers of y and noise over `active`
     bits: np.ndarray
     ch: ChannelRealization
     nu: float
@@ -101,35 +104,36 @@ def _draw(sc: Scenario, rng: np.random.Generator) -> Realization:
                   len(y), y.origin, n_fft, rng)
 
     noise = rng.standard_normal(2 * len(y_cfo)).view(np.complex128)
-    return Realization(y_cfo, nbi, noise, bits, ch, nu)
+    active = slice(spec.n_empty_prefix * spec.symbol_len, None)
+    powers = (mean_power(y_cfo.samples[active]), mean_power(noise[active]))
+    return Realization(y_cfo, nbi, noise, active, powers, bits, ch, nu)
 
 
 def _receive(sc: Scenario, snr_db: float, sir_db: float,
              rng: np.random.Generator | Realization) -> tuple[TimeSignal, Realization]:
     """A frame, or one `_draw`n from `rng`, mixed: (received, frame)."""
     frame = rng if isinstance(rng, Realization) else _draw(sc, rng)
-    active = slice(sc.frame.n_empty_prefix * sc.frame.symbol_len, None)
-    mix = calibrate_and_mix(frame.y, frame.nbi, MixSpec(snr_db, sir_db), active, frame.noise)
+    mix = calibrate_and_mix(frame.y, frame.nbi, MixSpec(snr_db, sir_db), frame.active,
+                            frame.noise, powers=frame.powers)
     return mix.received, frame
 
 
 def run_trial(sc: Scenario, snr_db: float, sir_db: float,
               rng: np.random.Generator | Realization, keep_trace: bool = False) -> TrialRecord:
-    """One frame realized by `_receive`, traced, then detected and scored by
-    every detector.  A trace dump (`emit_trace`) stops after the trace."""
+    """One frame realized by `_receive`, traced, then detected by every
+    detector, demodulated in one `ber_preamble` pass and scored.  A trace dump
+    (`emit_trace`) stops after the trace."""
     spec = sc.frame
     received, frame = _receive(sc, snr_db, sir_db, rng)
     trace = compute_trace(received, spec.n_fft, with_nirs="nirs" in sc.algorithms)
     counted = len(trace) - 1
     if frame.h is None:
         frame.h = frame.ch.freq_response(spec.smap.even_occupied(), spec.n_fft)
-    results: dict[str, SyncResult] = {}
-    outcomes: dict[str, TrialOutcome] = {}
-    for algo in sc.algorithms:
-        res = detect(trace, mode=algo, timing_rule=sc.timing_rule)
-        errs, total = ber_preamble(received, res, frame.h, frame.bits, spec)
-        results[algo] = res
-        outcomes[algo] = classify(res, frame.nu, spec.n_cp, errs, total)
+    results = {algo: detect(trace, mode=algo, timing_rule=sc.timing_rule)
+               for algo in sc.algorithms}
+    bers = ber_preamble(received, list(results.values()), frame.h, frame.bits, spec)
+    outcomes = {algo: classify(res, frame.nu, spec.n_cp, *ber)
+                for (algo, res), ber in zip(results.items(), bers)}
     return TrialRecord(true_cfo=frame.nu, results=results, outcomes=outcomes,
                        ops={algo: model_counters(algo, counted) for algo in sc.algorithms},
                        trace=trace if keep_trace else None)

@@ -1,5 +1,7 @@
 """Trial scoring: error classification, preamble BER, aggregation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ncsync import (ChannelRealization, FrameSpec, SubcarrierMap, SymbolGrid,
                     TimeSignal, build_frame, preamble_from_bits)
 from ncsync.detect import SyncResult
 from ncsync.evaluate import aggregate, ber_preamble, classify, TrialOutcome
+from ncsync.ofdm import demap_qpsk
 
 N_CP = 32
 
@@ -73,7 +76,7 @@ def test_ber_zero_on_perfect_sync(main_spec):
     bits = rng.integers(0, 2, size=158)
     frame = preamble_frame(spec, bits)
     flat = ChannelRealization(np.array([1.0]))
-    errs, total = ber_preamble(frame, sync_at(0), response(flat, spec), bits, spec)
+    [(errs, total)] = ber_preamble(frame, [sync_at(0)], response(flat, spec), bits, spec)
     assert (errs, total) == (0, 158)
 
 
@@ -86,7 +89,8 @@ def test_ber_zero_for_timing_offsets_inside_cp(main_spec):
     frame = preamble_frame(spec, bits)
     flat = ChannelRealization(np.array([1.0]))
     for offset in (-32, -17, 0):
-        errs, total = ber_preamble(frame, sync_at(offset), response(flat, spec), bits, spec)
+        [(errs, total)] = ber_preamble(frame, [sync_at(offset)], response(flat, spec), bits,
+                                       spec)
         assert (errs, total) == (0, 158), f"offset {offset}"
 
 
@@ -99,7 +103,7 @@ def test_ber_is_half_on_pure_noise(main_spec):
         bits = rng.integers(0, 2, size=158)
         noise = TimeSignal(rng.standard_normal(2 * spec.total_len).view(np.complex128),
                            origin=spec.n_empty_prefix * spec.symbol_len + spec.n_cp)
-        e, t = ber_preamble(noise, sync_at(0), response(flat, spec), bits, spec)
+        [(e, t)] = ber_preamble(noise, [sync_at(0)], response(flat, spec), bits, spec)
         errors += e
         total += t
     assert total >= 10_000
@@ -117,9 +121,69 @@ def test_ber_skips_bins_the_channel_nulls():
 
     received = apply_multipath(frame, ch)
     with pytest.warns(RuntimeWarning, match="zero channel response"):
-        errs, total = ber_preamble(received, sync_at(0), response(ch, spec), bits, spec)
+        [(errs, total)] = ber_preamble(received, [sync_at(0)], response(ch, spec), bits, spec)
     assert total == 2  # only the k = 2 bin survives equalization
     assert errs == 0
+
+
+def ber_alone(r, sync, h, bits, spec):
+    """One detection's (errors, bits), as the per-detection loop computed it."""
+    n_fft, even = spec.n_fft, spec.smap.even_occupied()
+    n_idx = sync.n_hat + np.arange(n_fft)
+    derotated = r.window(sync.n_hat, n_fft) * np.exp(-2j * np.pi * sync.nu_hat * n_idx / n_fft)
+    at_even = np.fft.fft(derotated)[even % n_fft] / np.sqrt(n_fft)
+    usable = np.abs(h) > 0
+    ramp = np.exp(2j * np.pi * even * sync.n_hat / n_fft)
+    d_hat = np.zeros(even.size, dtype=np.complex128)
+    d_hat[usable] = at_even[usable] / (h[usable] * ramp[usable])
+    decided = demap_qpsk(d_hat).reshape(-1, 2)
+    truth = bits.reshape(-1, 2)
+    return int(np.sum(decided[usable] != truth[usable])), int(2 * np.count_nonzero(usable))
+
+
+@pytest.mark.parametrize("n_fft", [16, 64, 256])
+def test_ber_of_several_detections_is_each_alone(n_fft):
+    # One pass over stacked windows gives every detection the bits it gets
+    # alone, with or without bins the channel nulls.
+    rng = np.random.default_rng(83 + n_fft)
+    occupied = tuple(k for k in range(-n_fft // 2 + 1, n_fft // 2) if k != 0)
+    spec = FrameSpec(smap=SubcarrierMap(n_fft=n_fft, occupied=occupied), n_cp=n_fft // 8,
+                     n_symbols=2)
+    n_bins = spec.smap.even_occupied().size
+    r = TimeSignal(rng.standard_normal(2 * 5 * n_fft).view(np.complex128), origin=2 * n_fft)
+    for zeros in (0, 1, 3):
+        bits = rng.integers(0, 2, size=2 * n_bins)
+        h = rng.standard_normal(2 * n_bins).view(np.complex128)
+        h[rng.choice(n_bins, size=zeros, replace=False)] = 0
+        syncs = [sync_at(int(rng.integers(-2 * n_fft, 2 * n_fft)), float(rng.uniform(-1, 1)))
+                 for _ in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            together = ber_preamble(r, syncs, h, bits, spec)
+            alone = [ber_preamble(r, [s], h, bits, spec)[0] for s in syncs]
+            want = [ber_alone(r, s, h, bits, spec) for s in syncs]
+        assert together == alone == want
+        assert all(total == 2 * (n_bins - zeros) for _, total in together)
+
+
+def test_ber_warns_once_per_detection_on_a_null(main_spec):
+    spec = FrameSpec(smap=main_spec.smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
+    bits = np.random.default_rng(89).integers(0, 2, size=158)
+    frame = preamble_frame(spec, bits)
+    h = response(ChannelRealization(np.array([1.0])), spec)
+    h[5] = 0
+    with pytest.warns(RuntimeWarning, match="skipping 1 preamble bin") as caught:
+        got = ber_preamble(frame, [sync_at(0), sync_at(-3), sync_at(-9)], h, bits, spec)
+    assert len(caught) == 3
+    assert got == [(0, 156)] * 3
+
+
+def test_ber_rejects_an_empty_detection_list(main_spec):
+    spec = FrameSpec(smap=main_spec.smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
+    bits = np.random.default_rng(97).integers(0, 2, size=158)
+    with pytest.raises(ValueError, match="no detections"):
+        ber_preamble(preamble_frame(spec, bits), [],
+                     response(ChannelRealization(np.array([1.0])), spec), bits, spec)
 
 
 def test_ber_rejects_wrong_bit_count(main_spec):
@@ -127,7 +191,7 @@ def test_ber_rejects_wrong_bit_count(main_spec):
     spec = FrameSpec(smap=main_spec.smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
     frame = preamble_frame(spec, rng.integers(0, 2, size=158))
     with pytest.raises(ValueError):
-        ber_preamble(frame, sync_at(0), response(ChannelRealization(np.array([1.0])), spec),
+        ber_preamble(frame, [sync_at(0)], response(ChannelRealization(np.array([1.0])), spec),
                      np.zeros(10, dtype=int), spec)
 
 
@@ -140,4 +204,4 @@ def test_ber_rejects_a_response_not_one_per_preamble_bin(main_spec):
     h_all = ChannelRealization(np.array([1.0])).freq_response(
         spec.smap.occupied_array(), spec.n_fft)
     with pytest.raises(ValueError, match="one per preamble bin"):
-        ber_preamble(frame, sync_at(0), h_all, bits, spec)
+        ber_preamble(frame, [sync_at(0)], h_all, bits, spec)

@@ -251,6 +251,25 @@ def test_mix_draws_from_a_generator_only_at_a_finite_snr():
     assert rng.uniform() == np.random.default_rng(15).uniform()
 
 
+@pytest.mark.parametrize("snr_db, sir_db", [(13.0, 4.0), (np.inf, 4.0), (13.0, np.inf),
+                                            (np.inf, np.inf)])
+def test_mix_with_measured_powers_is_the_measuring_mix(snr_db, sir_db):
+    # A draw mixed at many levels measures its two powers once and passes
+    # them in; the mix must be the one that measures them itself.
+    y = cn_signal(np.random.default_rng(16), 400, origin=50)
+    nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=24.5), 400, 50, N_FFT)
+    active = slice(100, None)
+    noise = np.random.default_rng(17).standard_normal(2 * 400).view(np.complex128)
+    powers = (mean_power(y.samples[active]), mean_power(noise[active]))
+    want = calibrate_and_mix(y, nbi, MixSpec(snr_db, sir_db), active, noise)
+    got = calibrate_and_mix(y, nbi, MixSpec(snr_db, sir_db), active, noise, powers=powers)
+    for field in ("nbi_part", "noise_part"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert got.received.samples.tobytes() == want.received.samples.tobytes()
+    assert got.received.origin == want.received.origin
+    assert (got.sigma_i2, got.sigma_w2) == (want.sigma_i2, want.sigma_w2)
+
+
 def test_urban_channel_profile():
     rng = np.random.default_rng(12)
     n_draws = 10_000

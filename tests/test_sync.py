@@ -116,13 +116,27 @@ def test_trace_window_count_and_short_buffer():
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_trace_rejects_non_finite_samples(bad):
     # Through the cumsums a NaN blanks the metric of every later window, so
-    # detect would pick a peak from before the bad sample instead.
+    # detect would pick a peak from before the bad sample instead.  The
+    # samples are scanned only when the energy's running sum ends non-finite:
+    # a bad sample anywhere sets that off, and the first one is named.
     rng = np.random.default_rng(59)
-    x = rng.standard_normal(2 * 3000).view(np.complex128)
-    x[1700] = x[2500] = bad
-    for with_nirs in (True, False):
-        with pytest.raises(ValueError, match=r"sample 1700 \(n = 1200\) is not finite"):
-            compute_trace(TimeSignal(x, origin=500), N_FFT, with_nirs=with_nirs)
+    for at in (0, 1700, 2999):
+        x = rng.standard_normal(2 * 3000).view(np.complex128)
+        x[at] = x[-1] = bad
+        for with_nirs in (True, False):
+            with pytest.raises(ValueError, match=rf"sample {at} \(n = {at - 500}\) is not finite"):
+                compute_trace(TimeSignal(x, origin=500), N_FFT, with_nirs=with_nirs)
+
+
+def test_trace_accepts_finite_samples_whose_energy_overflows():
+    # |r|^2 = 1e320 overflows the energy's running sum, but no sample is
+    # non-finite: the scan it sets off must find nothing to report.
+    rng = np.random.default_rng(67)
+    x = 1e160 * rng.standard_normal(2 * 600).view(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for with_nirs in (True, False):
+            tr = compute_trace(TimeSignal(x, origin=0), N_FFT, with_nirs=with_nirs)
+            assert len(tr) == 600 - N_FFT + 1
 
 
 def test_stream_matches_batch_both_modes():

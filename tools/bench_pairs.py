@@ -14,8 +14,10 @@ With --traced, that workload then runs --traced-pairs pairs of 20 s with
 --trace 1 for the per-layer figures.  The output JSON holds every run, and
 per workload and end-to-end metric each side's quartiles (linear, as
 numpy's default), the change's pair wins and a verdict against the bounds
-in BENCHMARK.json.  It is rewritten after every run, so a stopped session
-keeps what it measured.
+in BENCHMARK.json.  A run that errors, or reports `"correct": false` or
+failed operations, counts as failed: it is left out of the quartiles and
+wins (with its pair) and named in the verdict.  The file is rewritten after
+every run, so an interrupted pairing keeps what it measured.
 """
 
 from __future__ import annotations
@@ -66,22 +68,41 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def failure(result: dict) -> str | None:
+    """Why a run's metrics cannot count, or None when they can."""
+    if "error" in result:
+        return f"error (exit {result.get('returncode')})"
+    reasons = [why for why, bad in (
+        ("outputs incorrect", result.get("correct") is not True),
+        (f"{result.get('failed')} of {result.get('attempted')} operations failed",
+         result.get("failed", 0) > 0),
+        ("no metrics", "metrics" not in result)) if bad]
+    return ", ".join(reasons) or None
+
+
 def compare(runs: list[dict], workload: str, metric: dict) -> dict:
     """Quartiles, pair wins and verdict of one end-to-end metric.
 
-    Where the parent's IQR is wider than the bound, the metric is unresolved
-    unless it is better by the claim rule or every change run beats every
-    parent run.
+    Failed runs (see `failure`) are left out, each with its pair, and listed
+    as failed_runs.  Where the parent's IQR is wider than the bound, the
+    metric is unresolved unless it is better by the claim rule or every
+    change run beats every parent run.
     """
     name, higher = metric["name"], metric["better"] == "higher"
     by_pair: dict[int, dict[str, float]] = {}
+    failed = []
     for r in runs:
-        if r["workload"] == workload and r["trace"] == 0 and "metrics" in r["result"]:
+        if r["workload"] != workload or r["trace"] != 0:
+            continue
+        why = failure(r["result"])
+        if why:
+            failed.append(f"{r['side']} pair {r['pair']} (seed {r['seed']}): {why}")
+        else:
             by_pair.setdefault(r["pair"], {})[r["side"]] = \
                 r["result"]["metrics"][name]["value"]
     pairs = [p for p in by_pair.values() if len(p) == 2]
     if not pairs:
-        return {}
+        return {"failed_runs": failed}
     parent, change = [p["parent"] for p in pairs], [p["change"] for p in pairs]
     qp, qc = quartiles(parent), quartiles(change)
     rel = qc["median"] / qp["median"] - 1.0
@@ -102,7 +123,18 @@ def compare(runs: list[dict], workload: str, metric: dict) -> dict:
             "change": qc, "median_change_rel": round(rel, 4), "parent_iqr": iqr,
             "parent_iqr_rel": round(iqr / qp["median"], 4),
             "change_wins": f"{wins}/{len(pairs)}", "state": state,
-            "parent_runs": parent, "change_runs": change}
+            "parent_runs": parent, "change_runs": change, "failed_runs": failed}
+
+
+def verdict(summary: dict) -> str:
+    """A workload's verdict: each metric's change and state, then its failed runs."""
+    parts = [f"{name} {s['median_change_rel']:+.1%} ({s['change_wins']} wins, parent IQR "
+             f"{s['parent_iqr_rel']:.1%} of median): {s['state']}"
+             for name, s in summary.items() if "state" in s]
+    failed = next(iter(summary.values()), {}).get("failed_runs", [])
+    if failed:
+        parts.append(f"failed runs, left out with their pairs: {'; '.join(failed)}")
+    return "; ".join(parts)
 
 
 def machine() -> str:
@@ -159,10 +191,7 @@ def main(argv=None) -> int:
             pair_runs(workload, pair, base + pair + 1, seconds, 0)
         summary = {m["name"]: compare(out["runs"], workload, m) for m in bench["end_to_end"]}
         out["summary"][workload] = summary
-        out["verdicts"][workload] = "; ".join(
-            f"{name} {s['median_change_rel']:+.1%} ({s['change_wins']} wins, parent IQR "
-            f"{s['parent_iqr_rel']:.1%} of median): {s['state']}"
-            for name, s in summary.items() if s)
+        out["verdicts"][workload] = verdict(summary)
         save()
     for workload in args.traced:
         base = args.seed0 + 100 * (names.index(workload) + 1) + 50
