@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detect import SyncResult
-from .ofdm import FrameSpec, TimeSignal, demap_qpsk
+from .ofdm import FrameSpec, TimeSignal
 
 
 @dataclass
@@ -56,47 +58,59 @@ def ber_preamble(r: TimeSignal, syncs: list[SyncResult], h: np.ndarray,
     """Demodulate the preamble at each detected position in `syncs` (at least
     one) and count bit errors: one (errors, bits) per detection, in order.
 
-    The receiver-side chain: de-rotate the estimated CFO, take the unitary DFT
-    of the N samples starting at n_hat, then zero-force each preamble bin by
-    the known channel response and the timing-offset phase ramp
-    exp(j 2 pi k n_hat / N) before hard QPSK decisions; one FFT serves all the
-    stacked windows, and each detection's bits are those it would get alone.
-    h is the channel response at the preamble bins (spec.smap.even_occupied()),
-    one value per bin.  Bins where it is exactly zero cannot be equalized; they
-    are skipped (with a warning per detection) and excluded from the bit total.
+    The receiver-side chain: de-rotate the estimated CFO, take the DFT of the N
+    samples from n_hat, equalize each preamble bin by the channel response h and
+    the timing ramp exp(j 2 pi k n_hat / N), and decide each axis by its sign.
+    Only signs count, so a bin is multiplied by conj(h) exp(-j 2 pi k n_hat / N)
+    after an unscaled DFT: unitary zero-forcing times a positive factor.  One FFT
+    serves all stacked windows; each detection gets the bits it would alone.  h
+    holds one finite value per preamble bin (spec.smap.even_occupied()); a zero
+    bin is skipped (with a warning per detection) and left out of the bit total.
     """
     n_fft = spec.n_fft
     even = spec.smap.even_occupied()
     preamble_bits = np.asarray(preamble_bits, dtype=np.int64)
     if preamble_bits.size != 2 * even.size:
-        raise ValueError(
-            f"expected {2 * even.size} preamble bits for {even.size} bins, "
-            f"got {preamble_bits.size}"
-        )
+        raise ValueError(f"expected {2 * even.size} preamble bits for {even.size} bins, "
+                         f"got {preamble_bits.size}")
     h = np.asarray(h)
     if h.shape != (even.size,):
         raise ValueError(f"expected {even.size} channel response values, one per "
                          f"preamble bin, got shape {h.shape}")
+    # sum |h|^2 is finite when every h is, unless it overflows; only then scan.
+    if not math.isfinite(np.vdot(h, h).real) and not np.isfinite(h).all():
+        i = int(np.isfinite(h).argmin())
+        raise ValueError(f"channel response at preamble bin k = {even[i]} is not finite: {h[i]}")
     if not syncs:
         raise ValueError("no detections to demodulate")
     n_hat = np.array([[s.n_hat] for s in syncs])
-    nu_hat = np.array([[s.nu_hat] for s in syncs])
-    windows = np.stack([r.window(s.n_hat, n_fft) for s in syncs])
-    n_idx = n_hat + np.arange(n_fft)
-    derotated = windows * np.exp(-2j * np.pi * nu_hat * n_idx / n_fft)
-    # Centered bin k sits at FFT output index k mod N.
-    at_even = np.fft.fft(derotated)[:, even % n_fft] / np.sqrt(n_fft)
-    ramp = np.exp(2j * np.pi * even * n_hat / n_fft)
+    rate = np.array([[s.nu_hat * (-2.0 * np.pi / n_fft)] for s in syncs])  # rad per sample
+    phase = (n_hat + np.arange(float(n_fft))) * rate
+    windows = np.empty(phase.shape, dtype=np.complex128)
+    windows.real, windows.imag = np.cos(phase), np.sin(phase)
+    for row, s in zip(windows, syncs):
+        row *= r.window(s.n_hat, n_fft)
+    # Centered bin k sits at FFT output index k mod N, as a negative index does.
+    at_even = np.fft.fft(windows).take(even, axis=1)
+    at_even *= _roots_of_unity(n_fft).take(even * n_hat % n_fft)
+    at_even *= h.conj()
+    # Each (re, im) pair against its bit pair: a negative axis decodes as 1.
+    wrong = (at_even.view(np.float64) < 0) != preamble_bits
+    n_usable = int(np.count_nonzero(h))
+    if n_usable < even.size:
+        wrong &= np.repeat(h != 0, 2)
+        for _ in syncs:
+            warnings.warn(f"skipping {even.size - n_usable} preamble bin(s) with zero "
+                          f"channel response", RuntimeWarning, stacklevel=2)
+    return [(errors, 2 * n_usable) for errors in wrong.sum(axis=1).tolist()]
 
-    usable = np.abs(h) > 0
-    n_usable = int(np.count_nonzero(usable))
-    for _ in syncs if n_usable < even.size else ():
-        warnings.warn(f"skipping {even.size - n_usable} preamble bin(s) with zero "
-                      f"channel response", RuntimeWarning, stacklevel=2)
-    usable = usable if n_usable < even.size else slice(None)  # all bins: views, no copies
-    d_hat = at_even[:, usable] / (h[usable] * ramp[:, usable])
-    wrong = demap_qpsk(d_hat).reshape(len(syncs), -1, 2) != preamble_bits.reshape(-1, 2)[usable]
-    return [(int(errors), 2 * n_usable) for errors in wrong.sum(axis=(1, 2))]
+
+@functools.lru_cache(maxsize=16)
+def _roots_of_unity(n_fft: int) -> np.ndarray:
+    """exp(-j 2 pi m / N) for m = 0 .. N - 1, read-only."""
+    roots = np.exp(-2j * np.pi / n_fft * np.arange(n_fft))
+    roots.flags.writeable = False
+    return roots
 
 
 def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:

@@ -254,5 +254,6 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
         p_noise = mean_power(raw[active]) if powers is None else powers[1]
         noise_part = raw * np.sqrt(sigma_w2 / p_noise)
 
-    received = TimeSignal(sig + nbi_part + noise_part, origin=y.origin)
+    received = TimeSignal(sig + nbi_part, origin=y.origin)
+    received.samples += noise_part
     return MixResult(received, nbi_part, noise_part, sigma_i2, sigma_w2)

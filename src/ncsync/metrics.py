@@ -71,11 +71,17 @@ def nirs_numerator(g, q):
     """Tone-cancelling numerator G - Q^2 / |Q| (defined as G where Q = 0)."""
     q = np.asarray(q, dtype=np.complex128)
     mag = np.abs(q)
-    nonzero = mag > 0
-    corr = np.multiply(q, q, out=np.empty_like(q))
-    np.divide(corr, mag, out=corr, where=nonzero)
-    np.copyto(corr, 0.0, where=~nonzero)
+    corr = _divide_or_zero(np.multiply(q, q, out=np.empty_like(q)), mag, mag > 0)
     return np.subtract(g, corr, out=corr)
+
+
+def _divide_or_zero(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """num / den where nonzero, else 0, in num's buffer."""
+    if nonzero.all():  # the masked divide and fill cost more than the divide
+        return np.divide(num, den, out=num)
+    np.divide(num, den, out=num, where=nonzero)
+    np.copyto(num, 0.0, where=~nonzero)
+    return num
 
 
 def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
@@ -89,10 +95,7 @@ def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
 def _safe_ratio_sq(num: np.ndarray, mm: np.ndarray, positive: np.ndarray) -> np.ndarray:
     """|num|^2 / mm where positive, else 0 (mm = M^2, positive = M > 0)."""
     out = np.abs(num)
-    np.square(out, out=out)
-    np.divide(out, mm, out=out, where=positive)
-    np.copyto(out, 0.0, where=~positive)
-    return out
+    return _divide_or_zero(np.square(out, out=out), mm, positive)
 
 
 def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTrace:
@@ -130,7 +133,7 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     mm = m * m
     positive = m > 0
     metric_sc = _safe_ratio_sq(g, mm, positive)
-    n_axis = np.arange(n_windows) - r.origin
+    n_axis = np.arange(-r.origin, n_windows - r.origin)
 
     if not with_nirs:
         return MetricTrace(n=n_axis, g=g, m=m, metric_sc=metric_sc)

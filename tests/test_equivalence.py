@@ -5,19 +5,24 @@ reference kept here, so the golden output hashes stay a consequence of
 these identities rather than of the preset seeds they happen to use.
 """
 
+import cmath
 import csv
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ncsync.metrics
 import ncsync.runner
-from ncsync import (FrameSpec, SubcarrierMap, SymbolGrid, TimeSignal, apply_cfo,
-                    build_frame, map_qpsk, modulate_symbol, random_data_symbol)
-from ncsync.detect import _plateau_midpoint
+from ncsync import (FrameSpec, MetricTrace, NoSignalError, SubcarrierMap, SymbolGrid,
+                    SyncResult, TimeSignal, apply_cfo, build_frame, compute_trace, detect,
+                    map_qpsk, modulate_symbol, random_data_symbol)
+from ncsync.detect import TIMING_RULES, _plateau_midpoint
 from ncsync.runner import (_frame_percentiles, _receive, emit_trace, run_trial,
                            trial_rng, write_csv)
 from ncsync.scenario import load, preset_names
@@ -78,6 +83,133 @@ def test_plateau_midpoint_matches_the_loop(case):
 def test_plateau_midpoint_matches_the_loop_on_any_trace(metric, data):
     i_peak = data.draw(st.integers(0, metric.size - 1))
     assert _plateau_midpoint(metric, i_peak) == loop_plateau_midpoint(metric, i_peak)
+
+
+def frozen_plateau_midpoint(metric, i_peak):
+    """_plateau_midpoint as it was: two flatnonzero passes."""
+    outside = ~(metric >= 0.9 * metric[i_peak])
+    before = np.flatnonzero(outside[:i_peak])
+    after = np.flatnonzero(outside[i_peak + 1:])
+    lo = int(before[-1]) + 1 if before.size else 0
+    hi = i_peak + int(after[0]) if after.size else metric.size - 1
+    return (lo + hi) // 2
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, st.integers(1, 40),
+                  elements=st.sampled_from([np.nan, -np.inf, -1.0, 0.0, 0.9, 1.0, np.inf])),
+       st.data())
+def test_plateau_midpoint_equals_the_frozen_one_at_any_peak(metric, data):
+    # A NaN or negative value at i_peak fails its own threshold; the
+    # outward scans must still stop where the two flatnonzero passes did.
+    i_peak = data.draw(st.integers(0, metric.size - 1))
+    with np.errstate(invalid="ignore"):
+        assert _plateau_midpoint(metric, i_peak) == frozen_plateau_midpoint(metric, i_peak)
+
+
+def frozen_detect(trace, mode="nirs", timing_rule="argmax"):
+    """detect as it was: the energy scan first, then the peak, np.angle for the CFO."""
+    if timing_rule not in TIMING_RULES:
+        raise ValueError(f"unknown timing rule {timing_rule!r}")
+    if len(trace) == 0:
+        raise ValueError("empty metric trace")
+    if not np.any(trace.m > 0):
+        raise NoSignalError("energy normalizer is zero over the whole trace")
+    metric = trace.metric(mode)
+    i_peak = int(np.argmax(metric))
+    idx = i_peak if timing_rule == "argmax" else frozen_plateau_midpoint(metric, i_peak)
+    num = trace.numerator(mode)[idx]
+    if not (math.isfinite(metric[i_peak]) and cmath.isfinite(num)):
+        raise ValueError("non-finite metric or numerator")
+    nu_hat = float(np.angle(num) / np.pi)
+    return SyncResult(n_hat=int(trace.n[idx]), nu_hat=nu_hat,
+                      peak_value=float(metric[i_peak]), mode=mode)
+
+
+@st.composite
+def metric_traces(draw):
+    """Traces whose metric is 0 wherever M is (as compute_trace's are): all
+    silent or not, with NaN and inf peaks, ties at exactly 0.9 of the peak,
+    plateaus at either end, single windows, and NaN or inf numerators."""
+    size = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    silent = draw(st.integers(0, 3)) == 0
+    levels = st.sampled_from([0.0, 0.5, 0.89, 0.9, 0.95, 1.0, 1.0, np.nan, np.inf])
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    seeds = st.integers(0, 2**32 - 1)
+    specials = st.sampled_from([0j, complex(-0.0, -0.0), complex(np.nan, 0.0),
+                                complex(np.inf, 1.0), complex(0.0, -np.inf)])
+
+    def metric():
+        if silent:
+            return np.zeros(size)
+        return np.array(draw(st.lists(levels, min_size=size, max_size=size))) * scale
+
+    def numerator():
+        # Seeded Gaussian values: on hypothesis's own floats, and on unit
+        # magnitudes, cmath.phase and numpy's arctan2 mostly agree.
+        num = np.random.default_rng(draw(seeds)).standard_normal(2 * size).view(np.complex128)
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            num[i] = draw(specials)
+        return num
+
+    metric_sc = metric()
+    with_nirs = draw(st.booleans())
+    metric_nirs = metric() if with_nirs else None
+    energetic = metric_sc != 0
+    if with_nirs:
+        energetic |= metric_nirs != 0  # NaN counts: only M > 0 can give it
+    spare = np.array(draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=size,
+                                   max_size=size)))
+    m = np.where(energetic, 1.0, 0.0 if silent else spare)
+    g_nirs = numerator() if with_nirs else None
+    trace = MetricTrace(n=np.arange(size) - draw(st.integers(0, size)), g=numerator(), m=m,
+                        metric_sc=metric_sc, q=g_nirs, g_nirs=g_nirs, metric_nirs=metric_nirs)
+    return trace, draw(st.sampled_from(("sc", "nirs") if with_nirs else ("sc",)))
+
+
+def outcome(fn, *args):
+    """repr of the result (exact for floats, -0.0 included), or the exception type."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_traces(), st.sampled_from(TIMING_RULES))
+def test_detect_equals_the_frozen_detect(case, timing_rule):
+    trace, mode = case
+    with np.errstate(invalid="ignore"):
+        assert outcome(detect, trace, mode, timing_rule) == \
+            outcome(frozen_detect, trace, mode, timing_rule)
+
+
+def masked_divide_or_zero(num, den, nonzero):
+    """The trace kernel's division as it ran for every buffer: masked, then filled."""
+    np.divide(num, den, out=num, where=nonzero)
+    np.copyto(num, 0.0, where=~nonzero)
+    return num
+
+
+@SETTINGS
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.booleans(), st.floats(-160, 160))
+def test_trace_kernel_divides_as_its_masked_path(quarter, seed, silent, log_scale):
+    # Without a silent stretch every M and |Q| is positive and the kernel
+    # takes the unmasked divides; with one it keeps the masked path.
+    n_fft = 4 * quarter
+    rng = np.random.default_rng(seed)
+    size = n_fft + int(rng.integers(0, 4 * n_fft))
+    s = rng.standard_normal(2 * size).view(np.complex128) * 10.0 ** log_scale
+    if silent:
+        start = int(rng.integers(0, size))
+        s[start:start + int(rng.integers(n_fft // 2, 2 * n_fft))] = 0
+    r = TimeSignal(s, origin=int(rng.integers(0, size)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = compute_trace(r, n_fft)
+        with mock.patch.object(ncsync.metrics, "_divide_or_zero", masked_divide_or_zero):
+            want = compute_trace(r, n_fft)
+    for field in ("n", "g", "m", "metric_sc", "q", "g_nirs", "metric_nirs"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 @st.composite

@@ -141,17 +141,18 @@ def ber_alone(r, sync, h, bits, spec):
     return int(np.sum(decided[usable] != truth[usable])), int(2 * np.count_nonzero(usable))
 
 
-@pytest.mark.parametrize("n_fft", [16, 64, 256])
+@pytest.mark.parametrize("n_fft", [8, 16, 32, 64, 128, 256])
 def test_ber_of_several_detections_is_each_alone(n_fft):
     # One pass over stacked windows gives every detection the bits it gets
-    # alone, with or without bins the channel nulls.
+    # alone, with or without bins the channel nulls, and the sign-only
+    # equalizer the bits of zero-forcing (ber_alone).
     rng = np.random.default_rng(83 + n_fft)
     occupied = tuple(k for k in range(-n_fft // 2 + 1, n_fft // 2) if k != 0)
     spec = FrameSpec(smap=SubcarrierMap(n_fft=n_fft, occupied=occupied), n_cp=n_fft // 8,
                      n_symbols=2)
     n_bins = spec.smap.even_occupied().size
     r = TimeSignal(rng.standard_normal(2 * 5 * n_fft).view(np.complex128), origin=2 * n_fft)
-    for zeros in (0, 1, 3):
+    for zeros in (0, 1, min(3, n_bins)):  # N = 8 has 2 preamble bins
         bits = rng.integers(0, 2, size=2 * n_bins)
         h = rng.standard_normal(2 * n_bins).view(np.complex128)
         h[rng.choice(n_bins, size=zeros, replace=False)] = 0
@@ -176,6 +177,17 @@ def test_ber_warns_once_per_detection_on_a_null(main_spec):
         got = ber_preamble(frame, [sync_at(0), sync_at(-3), sync_at(-9)], h, bits, spec)
     assert len(caught) == 3
     assert got == [(0, 156)] * 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_ber_rejects_a_non_finite_channel_response(main_spec, bad):
+    spec = FrameSpec(smap=main_spec.smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
+    bits = np.random.default_rng(101).integers(0, 2, size=158)
+    h = response(ChannelRealization(np.array([1.0])), spec)
+    h[[7, 40]] = bad, np.nan
+    k = spec.smap.even_occupied()[7]
+    with pytest.raises(ValueError, match=rf"bin k = {k} is not finite"):
+        ber_preamble(preamble_frame(spec, bits), [sync_at(0)], h, bits, spec)
 
 
 def test_ber_rejects_an_empty_detection_list(main_spec):
