@@ -14,6 +14,7 @@ measured SNR/SIR agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,8 @@ COST207_TU_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
 COST207_TU_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
 
 NBI_KINDS = ("ideal_tone", "fm_carson", "fm_wideband")
+_NBI_NUMBERS = ("f_c", "phase0", "freq_offset_hz", "f_m_hz", "delta_f_hz", "bandwidth_hz",
+                "sc_spacing_hz")
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ class NbiSpec:
     def __post_init__(self):
         if self.kind not in NBI_KINDS:
             raise ValueError(f"unknown NBI kind {self.kind!r}; expected one of {NBI_KINDS}")
+        for name in _NBI_NUMBERS:
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sc_spacing_hz <= 0:
             raise ValueError("sc_spacing_hz must be positive")
         if self.kind == "fm_carson":
@@ -165,17 +171,24 @@ def draw_channel_cost207tu(rng: np.random.Generator, sample_rate_hz: float) -> C
     the total mean power is 1.  Delays that collide after rounding add power
     in the same tap.
     """
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValueError(f"sample_rate_hz must be positive and finite, got {sample_rate_hz}")
+    delays, sigma = _cost207tu_profile(sample_rate_hz)
+    taps = np.zeros(delays[-1] + 1, dtype=np.complex128)
+    g = rng.standard_normal(2 * sigma.size)
+    np.add.at(taps, delays, sigma * (g[0::2] + 1j * g[1::2]))  # in profile order
+    return ChannelRealization(taps)
+
+
+@lru_cache(maxsize=16)
+def _cost207tu_profile(sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only COST 207 TU tap delays (samples) and per-axis sigmas at a sample rate."""
     delays = np.rint(np.asarray(COST207_TU_DELAYS_US) * 1e-6 * sample_rate_hz).astype(int)
     powers = 10.0 ** (np.asarray(COST207_TU_POWERS_DB) / 10.0)
     powers /= powers.sum()
-    taps = np.zeros(int(delays.max()) + 1, dtype=np.complex128)
     sigma = np.sqrt(powers / 2.0)
-    g = rng.standard_normal(2 * powers.size)
-    for i, d in enumerate(delays):
-        taps[d] += sigma[i] * (g[2 * i] + 1j * g[2 * i + 1])
-    return ChannelRealization(taps)
+    delays.flags.writeable = sigma.flags.writeable = False
+    return delays, sigma
 
 
 def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
@@ -188,7 +201,7 @@ def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    n = np.arange(length, dtype=np.float64) - origin
+    n = np.arange(-origin, length - origin, dtype=np.float64)
     phase = 2.0 * np.pi * spec.f_total * n / n_fft + spec.phase0
     if spec.kind != "ideal_tone":
         if spec.kind == "fm_wideband":
@@ -198,15 +211,19 @@ def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
         beta = delta_f / spec.f_m_hz
         theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
         fs = n_fft * spec.sc_spacing_hz
-        phase = phase + beta * np.sin(2.0 * np.pi * spec.f_m_hz * n / fs + theta)
+        n *= 2.0 * np.pi * spec.f_m_hz  # n's last use: the message's phase, in place
+        n /= fs
+        n += theta
+        phase += beta * np.sin(n, out=n)
     return TimeSignal(np.exp(1j * phase), origin=origin)
 
 
 def mean_power(x: np.ndarray) -> float:
+    """np.mean(np.abs(x) ** 2) over every element, without np.mean's wrapper."""
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("cannot take mean power of an empty array")
-    return float(np.mean(np.abs(x) ** 2))
+    return float(np.add.reduce(np.square(np.abs(x)), axis=None) / x.size)
 
 
 def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slice,
@@ -232,8 +249,8 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
         raise ValueError("noise draw must match y in length")
     sig = y.samples
     p_sig = mean_power(sig[active]) if powers is None else powers[0]
-    if p_sig <= 0:
-        raise ValueError("signal power over the active region is zero")
+    if not 0 < p_sig < math.inf:
+        raise ValueError(f"signal power over the active region is {p_sig}, not > 0 and finite")
 
     if np.isinf(mix.sir_db):
         sigma_i2 = 0.0
@@ -252,6 +269,9 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
         # Scale against the realized power over the active region, not the
         # ensemble expectation, so the requested SNR is hit exactly.
         p_noise = mean_power(raw[active]) if powers is None else powers[1]
+        if not 0 < p_noise < math.inf:
+            raise ValueError(f"noise power over the active region is {p_noise}, "
+                             "not > 0 and finite")
         noise_part = raw * np.sqrt(sigma_w2 / p_noise)
 
     received = TimeSignal(sig + nbi_part, origin=y.origin)

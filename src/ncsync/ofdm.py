@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# map_qpsk's points for (b0, b1) at index 2 b0 + b1, from its pair formula.
+_QPSK = ((1 - 2 * np.array([0, 0, 1, 1])) + 1j * (1 - 2 * np.array([0, 1, 0, 1]))) * _INV_SQRT2
 
 
 class UnsatisfiablePreambleError(ValueError):
@@ -43,9 +45,13 @@ class SubcarrierMap:
     occupied: tuple[int, ...]
     _occupied: np.ndarray = field(init=False, repr=False, compare=False)
     _even: np.ndarray = field(init=False, repr=False, compare=False)
+    _ifftshift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_n_fft(self.n_fft)
+        for k in self.occupied:
+            if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+                raise ValueError(f"subcarrier index must be an integer, got {k!r}")
         occ = tuple(int(k) for k in self.occupied)
         if len(occ) == 0:
             raise ValueError("occupied set must be non-empty")
@@ -60,9 +66,12 @@ class SubcarrierMap:
         object.__setattr__(self, "occupied", occ)
         arr = np.asarray(occ, dtype=np.int64)
         even = arr[arr % 2 == 0]
-        arr.flags.writeable = even.flags.writeable = False
+        # build_frame's column order: np.fft.ifftshift's, without making a map import numpy.fft.
+        shift = (np.arange(self.n_fft) + self.n_fft // 2) % self.n_fft
+        arr.flags.writeable = even.flags.writeable = shift.flags.writeable = False
         object.__setattr__(self, "_occupied", arr)
         object.__setattr__(self, "_even", even)
+        object.__setattr__(self, "_ifftshift", shift)
 
     @property
     def n_occupied(self) -> int:
@@ -146,7 +155,7 @@ class TimeSignal:
         return self.samples.size
 
     def n_axis(self) -> np.ndarray:
-        return np.arange(self.samples.size) - self.origin
+        return np.arange(-self.origin, self.samples.size - self.origin)
 
     def window(self, n: int, length: int) -> np.ndarray:
         """View of `length` samples starting at frame-relative index n."""
@@ -191,8 +200,7 @@ def map_qpsk(bits) -> np.ndarray:
         raise ValueError(f"bit count must be even, got {bits.size}")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
-    b = bits.reshape(-1, 2)
-    return ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) * _INV_SQRT2
+    return _QPSK.take(2 * bits[0::2] + bits[1::2])
 
 
 def demap_qpsk(symbols) -> np.ndarray:
@@ -270,7 +278,8 @@ def build_frame(grid: SymbolGrid) -> TimeSignal:
     """
     spec = grid.spec
     n, n_cp = spec.n_fft, spec.n_cp
-    body = np.fft.ifft(np.fft.ifftshift(grid.data, axes=1), axis=1) * np.sqrt(n)
+    body = np.fft.ifft(grid.data.take(spec.smap._ifftshift, axis=1), axis=1)
+    body *= np.sqrt(n)
     prefix = spec.n_empty_prefix * spec.symbol_len
     samples = np.zeros(spec.total_len, dtype=np.complex128)
     symbols = samples[prefix:].reshape(spec.n_symbols, spec.symbol_len)

@@ -70,9 +70,6 @@ class Scenario:
                            ("[nbi] freq_offset_max_hz", self.nbi_offset_max_hz)):
             if not 0 <= bound < math.inf:
                 raise ScenarioError(f"{key} must be finite and >= 0, got {bound}")
-        for key in ("f_c", "f_m_hz", "delta_f_hz", "bandwidth_hz"):
-            if not math.isfinite(value := getattr(self.nbi, key)):
-                raise ScenarioError(f"[nbi] {key} must be finite, got {value}")
         # The CFO readout arg(.)/pi is unambiguous only below one spacing.
         if self.cfo_max_hz >= self.frame.sc_spacing_hz:
             raise ScenarioError(f"[cfo] max_hz must be below the subcarrier spacing "

@@ -23,6 +23,9 @@ from ncsync import (FrameSpec, MetricTrace, NoSignalError, SubcarrierMap, Symbol
                     SyncResult, TimeSignal, apply_cfo, build_frame, compute_trace, detect,
                     map_qpsk, modulate_symbol, random_data_symbol)
 from ncsync.detect import TIMING_RULES, _plateau_midpoint
+from ncsync.impairments import (COST207_TU_DELAYS_US, COST207_TU_POWERS_DB, NbiSpec,
+                                carson_deviation_hz, draw_channel_cost207tu, gen_nbi,
+                                mean_power)
 from ncsync.runner import (_frame_percentiles, _receive, emit_trace, run_trial,
                            trial_rng, write_csv)
 from ncsync.scenario import load, preset_names
@@ -420,3 +423,172 @@ def test_write_csv_writes_the_bytes_of_csv_writer(header, data):
         write_csv(got, rows)
         reference_write_csv(want, rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+# Frozen copies of the realization's building blocks before they were cut
+# to their numpy kernels; the current ones must give the same bytes.
+FROZEN = settings(max_examples=200, deadline=None)
+
+
+def frozen_map_qpsk(bits):
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    if bits.size % 2 != 0:
+        raise ValueError(f"bit count must be even, got {bits.size}")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits must be 0 or 1")
+    b = bits.reshape(-1, 2)
+    return ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) * (1.0 / np.sqrt(2.0))
+
+
+def frozen_build_frame(grid):
+    spec = grid.spec
+    n, n_cp = spec.n_fft, spec.n_cp
+    body = np.fft.ifft(np.fft.ifftshift(grid.data, axes=1), axis=1) * np.sqrt(n)
+    prefix = spec.n_empty_prefix * spec.symbol_len
+    samples = np.zeros(spec.total_len, dtype=np.complex128)
+    symbols = samples[prefix:].reshape(spec.n_symbols, spec.symbol_len)
+    symbols[:, n_cp:] = body
+    symbols[:, :n_cp] = body[:, n - n_cp:]
+    return TimeSignal(samples, origin=prefix + n_cp)
+
+
+def frozen_draw_channel(rng, sample_rate_hz):
+    delays = np.rint(np.asarray(COST207_TU_DELAYS_US) * 1e-6 * sample_rate_hz).astype(int)
+    powers = 10.0 ** (np.asarray(COST207_TU_POWERS_DB) / 10.0)
+    powers /= powers.sum()
+    taps = np.zeros(int(delays.max()) + 1, dtype=np.complex128)
+    sigma = np.sqrt(powers / 2.0)
+    g = rng.standard_normal(2 * powers.size)
+    for i, d in enumerate(delays):
+        taps[d] += sigma[i] * (g[2 * i] + 1j * g[2 * i + 1])
+    return taps
+
+
+def frozen_mean_power(x):
+    return float(np.mean(np.abs(np.asarray(x)) ** 2))
+
+
+def frozen_n_axis(x):
+    return np.arange(x.samples.size) - x.origin
+
+
+def frozen_gen_nbi(spec, length, origin, n_fft, rng=None):
+    n = np.arange(length, dtype=np.float64) - origin
+    phase = 2.0 * np.pi * spec.f_total * n / n_fft + spec.phase0
+    if spec.kind != "ideal_tone":
+        if spec.kind == "fm_wideband":
+            delta_f = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz)
+        else:
+            delta_f = spec.delta_f_hz
+        beta = delta_f / spec.f_m_hz
+        theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
+        fs = n_fft * spec.sc_spacing_hz
+        phase = phase + beta * np.sin(2.0 * np.pi * spec.f_m_hz * n / fs + theta)
+    return TimeSignal(np.exp(1j * phase), origin=origin)
+
+
+def assert_same_outcome(fn, frozen, *args):
+    """Both calls give the same dtype, shape and bytes, or both raise ValueError."""
+    try:
+        want = frozen(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(*args)
+        return
+    got = fn(*args)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@FROZEN
+@given(st.integers(0, 200), st.integers(1, 3), st.data())
+@example(0, 1, None)
+def test_map_qpsk_equals_the_frozen_one(n_pairs, rows, data):
+    if data is None:
+        bits = np.array([0, 0, 0, 1, 1, 0, 1, 1])  # every point once
+    else:
+        values = st.integers(0, 1) if data.draw(st.booleans()) else st.integers(-2, 3)
+        shape = (rows, 2 * n_pairs + data.draw(st.integers(0, 1)))
+        bits = data.draw(hnp.arrays(np.int64, shape, elements=values))
+    assert_same_outcome(map_qpsk, frozen_map_qpsk, bits)
+
+
+@st.composite
+def edge_frame_specs(draw):
+    """frame_specs with a CP of 0 or N and no leading silence drawn often."""
+    spec = draw(frame_specs())
+    n_cp = draw(st.sampled_from([0, spec.n_fft, spec.n_cp]))
+    prefix = draw(st.sampled_from([0, spec.n_empty_prefix]))
+    return FrameSpec(smap=spec.smap, n_cp=n_cp, n_symbols=spec.n_symbols,
+                     n_empty_prefix=prefix)
+
+
+@FROZEN
+@given(edge_frame_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_build_frame_equals_the_frozen_one(spec, seed, signed_zeros):
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_symbols, spec.n_fft)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if signed_zeros:
+        data[rng.random(shape) < 0.5] = complex(-0.0, -0.0)
+    got, want = build_frame(SymbolGrid(spec, data)), frozen_build_frame(SymbolGrid(spec, data))
+    assert got.origin == want.origin
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@FROZEN
+@given(st.one_of(st.sampled_from([1e6, 1.92e6, 3.84e6, 7.68e6, 30.72e6]),
+                 st.floats(1e4, 1e8)), st.integers(0, 2**32 - 1))
+@example(1e6, 0)  # 0, 0.2 and 0.5 us round onto tap 0, 1.6 and 2.3 us onto tap 2
+def test_urban_channel_draw_equals_the_frozen_one(sample_rate_hz, seed):
+    rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    taps = draw_channel_cost207tu(rng, sample_rate_hz).taps
+    assert taps.tobytes() == frozen_draw_channel(frozen_rng, sample_rate_hz).tobytes()
+    assert rng.bit_generator.state == frozen_rng.bit_generator.state
+
+
+power_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e-300, 1e150]),
+                        st.floats(-1e100, 1e100))
+
+
+@FROZEN
+@given(hnp.arrays(st.sampled_from([np.complex128, np.float64]),
+                  hnp.array_shapes(min_dims=1, max_dims=2, max_side=300),
+                  elements=power_parts))
+def test_mean_power_equals_np_mean(x):
+    got, want = mean_power(x), frozen_mean_power(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@FROZEN
+@given(st.integers(1, 5000), st.integers(-10_000, 10_000))
+def test_n_axis_equals_the_frozen_one(size, origin):
+    x = TimeSignal(np.zeros(size), origin)
+    got, want = x.n_axis(), frozen_n_axis(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def nbi_specs(draw):
+    kind = draw(st.sampled_from(["ideal_tone", "fm_carson", "fm_wideband"]))
+    f_m = draw(st.floats(1.0, 1e5))
+    return NbiSpec(kind=kind, f_c=draw(st.floats(-200.0, 200.0)),
+                   phase0=draw(st.floats(-10.0, 10.0)),
+                   freq_offset_hz=draw(st.floats(-1e5, 1e5)), f_m_hz=f_m,
+                   delta_f_hz=draw(st.floats(1.0, 1e6)),
+                   bandwidth_hz=2.0 * f_m + draw(st.floats(1.0, 1e6)),
+                   sc_spacing_hz=draw(st.sampled_from([15e3, 7.5e3, 31.25e3])))
+
+
+@FROZEN
+@given(nbi_specs(), st.integers(1, 3000), st.integers(-3000, 3000),
+       st.sampled_from([8, 64, 256, 1024]), st.integers(0, 2**32 - 1), st.booleans())
+def test_gen_nbi_equals_the_frozen_one(spec, length, origin, n_fft, seed, with_rng):
+    rng, frozen_rng = (np.random.default_rng(seed), np.random.default_rng(seed)) \
+        if with_rng else (None, None)
+    got = gen_nbi(spec, length, origin, n_fft, rng)
+    want = frozen_gen_nbi(spec, length, origin, n_fft, frozen_rng)
+    assert got.origin == want.origin
+    assert got.samples.tobytes() == want.samples.tobytes()
+    if with_rng:
+        assert rng.bit_generator.state == frozen_rng.bit_generator.state

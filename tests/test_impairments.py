@@ -141,6 +141,27 @@ def test_nbi_spec_validation():
         gen_nbi(NbiSpec(kind="ideal_tone", f_c=0.0), 0, 0, N_FFT)
 
 
+NBI_NUMBERS = ("f_c", "phase0", "freq_offset_hz", "f_m_hz", "delta_f_hz", "bandwidth_hz",
+               "sc_spacing_hz")
+
+
+@pytest.mark.parametrize("kind", ["ideal_tone", "fm_carson", "fm_wideband"])
+@pytest.mark.parametrize("field", NBI_NUMBERS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nbi_spec_rejects_a_non_finite_number_naming_it(kind, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        NbiSpec(kind=kind, **{"f_c": 3.5, field: value})
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0, -1e6])
+def test_urban_channel_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match=f"sample_rate_hz must be positive and finite, "
+                                         f"got {rate}"):
+        draw_channel_cost207tu(rng, rate)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
 def test_fm_phase_is_locally_linear_at_28khz():
     """Over any one-FFT-length window the FM phase is close to a line.
 
@@ -234,6 +255,35 @@ def test_calibration_rejects_bad_buffers():
     with pytest.raises(ValueError, match="noise draw"):
         calibrate_and_mix(y, tone, MixSpec(10, 10), slice(0, None),
                           rng.standard_normal(2 * 99).view(np.complex128))
+
+
+@pytest.mark.parametrize("which, y_value, noise_value, got", [
+    ("signal", 0.0, 1.0, "0.0"), ("signal", np.nan, 1.0, "nan"),
+    ("signal", np.inf, 1.0, "inf"), ("signal", 1e200, 1.0, "inf"),
+    ("noise", 1.0, 0.0, "0.0"), ("noise", 1.0, np.nan, "nan"), ("noise", 1.0, np.inf, "inf"),
+])
+def test_mix_names_a_zero_or_non_finite_measured_power(which, y_value, noise_value, got):
+    # Zeros over the active region, a value outside it: only the region counts.
+    y = TimeSignal(np.full(100, complex(y_value)), origin=0)
+    y.samples[:10] = 1.0
+    noise = np.full(100, complex(noise_value))
+    noise[:10] = 1.0
+    nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=1.0), 100, 0, N_FFT)
+    named = f"{which} power over the active region is {got}, not > 0 and finite"
+    with np.errstate(over="ignore"):  # |1e200|^2 overflows to inf
+        with pytest.raises(ValueError, match=named):
+            calibrate_and_mix(y, nbi, MixSpec(10.0, 10.0), slice(10, None), noise)
+        powers = (mean_power(y.samples[10:]), mean_power(noise[10:]))
+    with pytest.raises(ValueError, match=named):
+        calibrate_and_mix(y, nbi, MixSpec(10.0, 10.0), slice(10, None), noise, powers=powers)
+
+
+def test_mix_does_not_measure_the_noise_at_an_infinite_snr():
+    y = cn_signal(np.random.default_rng(18), 100)
+    nbi = gen_nbi(NbiSpec(kind="ideal_tone", f_c=1.0), 100, 0, N_FFT)
+    mix = calibrate_and_mix(y, nbi, MixSpec(np.inf, 10.0), slice(0, None),
+                            np.zeros(100, dtype=complex))
+    assert mix.sigma_w2 == 0.0 and not mix.noise_part.any()
 
 
 def test_mix_draws_from_a_generator_only_at_a_finite_snr():

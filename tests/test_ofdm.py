@@ -1,5 +1,7 @@
 """Signal construction: subcarrier maps, QPSK, symbols, preambles, frames."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ def test_map_rejects_bad_geometry():
         SubcarrierMap(n_fft=16, occupied=(8,))  # valid range is [-8, 7]
     with pytest.raises(ValueError):
         SubcarrierMap(n_fft=16, occupied=(-9,))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(3.0), np.nan, np.inf, True, np.True_, "1"])
+def test_map_rejects_an_index_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {k!r}")):
+        SubcarrierMap(256, (k, 3))
+
+
+def test_map_takes_numpy_integers():
+    smap = SubcarrierMap(256, (np.int64(3), np.int32(-1), np.uint8(7)))
+    assert smap.occupied == (-1, 3, 7)
+    assert all(type(k) is int for k in smap.occupied)
 
 
 def test_map_even_subset_and_columns():
