@@ -75,6 +75,8 @@ def _cmd_validate_appendix(args) -> int:
     for flag, value in (("--grids", args.grids), ("--trials", args.trials)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     check_level_db("--sir", args.sir)
     rng = np.random.default_rng(args.seed)
     smap = notched_map(N_FFT, 42)

@@ -2,7 +2,7 @@
 
 Trial t's frame (bits, data, channel, CFO, interferer, raw noise) is drawn
 from SeedSequence((master_seed, crc32(key), t)) in a fixed order; only the mix
-sets its SNR and SIR.  A plan (the grid, or the sweep per bandwidth) draws each
+sets its SNR and SIR.  A plan (the grid, or the bandwidth sweep) draws each
 trial once from one plan-level key and scores it in all its cells (common
 random numbers), so its cells are positively correlated, not independent.
 Every detector sees the same frames, so algorithm comparisons are paired.
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .detect import SyncResult, detect
 from .evaluate import TrialOutcome, aggregate, ber_preamble, classify
-from .impairments import (ChannelRealization, MixSpec, apply_cfo, apply_multipath,
+from .impairments import (ChannelRealization, MixSpec, NbiSpec, apply_cfo, apply_multipath,
                           calibrate_and_mix, check_level_db, draw_channel_cost207tu,
                           gen_nbi, mean_power)
 from .metrics import MetricTrace, compute_trace
@@ -62,26 +62,27 @@ class Realization:
     first scoring sets `h` (even bins)."""
 
     y: TimeSignal  # after channel and CFO
-    nbi: TimeSignal  # unit envelope
+    nbi: TimeSignal  # unit envelope of the interferer `nbi_of`
     noise: np.ndarray  # raw unit complex Gaussian draw
     active: slice  # the frame after its silence, where the mix measures powers
     powers: tuple[float, float]  # mean powers of y and noise over `active`
     bits: np.ndarray
     ch: ChannelRealization
     nu: float
+    nbi_of: NbiSpec  # the scenario interferer `nbi` was built for
+    nbi_state: dict  # the generator's state before `_interferer` built it
     h: np.ndarray | None = None
 
 
 def _draw(sc: Scenario, rng: np.random.Generator) -> Realization:
     """One frame through the impairment chain, before the mix.
 
-    Draw order (fixed for reproducibility, and written only here): preamble
-    bits, data symbols, channel, CFO, interferer offset and phases, noise
-    (drawn at every SNR).  Detectors consume no randomness, so a realization
-    does not depend on what is done with it.
+    Draw order (fixed for reproducibility, and written only here and in
+    `_interferer`): preamble bits, data symbols, channel, CFO, interferer
+    offset and phases, noise (drawn at every SNR).  Detectors consume no
+    randomness, so a realization does not depend on what is done with it.
     """
     spec = sc.frame
-    n_fft = spec.n_fft
     bits = rng.integers(0, 2, size=2 * spec.smap.even_occupied().size)
     grid = SymbolGrid(spec)
     grid.data[0] = preamble_from_bits(spec, bits)
@@ -95,24 +96,34 @@ def _draw(sc: Scenario, rng: np.random.Generator) -> Realization:
     y = apply_multipath(frame, ch)
 
     nu = rng.uniform(-sc.cfo_max_norm, sc.cfo_max_norm) if sc.cfo_max_norm else 0.0
-    y_cfo = apply_cfo(y, nu, n_fft)
+    y_cfo = apply_cfo(y, nu, spec.n_fft)
 
-    offset = (rng.uniform(-sc.nbi_offset_max_hz, sc.nbi_offset_max_hz)
-              if sc.nbi_offset_max_hz else 0.0)
-    phase0 = rng.uniform(0.0, 2.0 * np.pi)
-    nbi = gen_nbi(sc.nbi_spec(phase0=phase0, freq_offset_hz=offset),
-                  len(y), y.origin, n_fft, rng)
+    state = rng.bit_generator.state
+    nbi = _interferer(sc, rng, y_cfo)
 
     noise = rng.standard_normal(2 * len(y_cfo)).view(np.complex128)
     active = slice(spec.n_empty_prefix * spec.symbol_len, None)
     powers = (mean_power(y_cfo.samples[active]), mean_power(noise[active]))
-    return Realization(y_cfo, nbi, noise, active, powers, bits, ch, nu)
+    return Realization(y_cfo, nbi, noise, active, powers, bits, ch, nu, sc.nbi, state)
+
+
+def _interferer(sc: Scenario, rng: np.random.Generator, y: TimeSignal) -> TimeSignal:
+    """`_draw`'s interferer step over y's buffer: offset, phase0, then `gen_nbi`."""
+    offset = (rng.uniform(-sc.nbi_offset_max_hz, sc.nbi_offset_max_hz)
+              if sc.nbi_offset_max_hz else 0.0)
+    phase0 = rng.uniform(0.0, 2.0 * np.pi)
+    return gen_nbi(sc.nbi_spec(phase0=phase0, freq_offset_hz=offset),
+                   len(y), y.origin, sc.frame.n_fft, rng)
 
 
 def _receive(sc: Scenario, snr_db: float, sir_db: float,
              rng: np.random.Generator | Realization) -> tuple[TimeSignal, Realization]:
     """A frame, or one `_draw`n from `rng`, mixed: (received, frame)."""
     frame = rng if isinstance(rng, Realization) else _draw(sc, rng)
+    if frame.nbi_of != sc.nbi:  # re-run the draw's interferer step for sc's interferer
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = frame.nbi_state
+        frame.nbi, frame.nbi_of = _interferer(sc, replay, frame.y), sc.nbi
     mix = calibrate_and_mix(frame.y, frame.nbi, MixSpec(snr_db, sir_db), frame.active,
                             frame.noise, powers=frame.powers)
     return mix.received, frame
@@ -160,45 +171,45 @@ SWEEP_COLUMNS = ("bandwidth_hz", "sir_db", "algorithm", "p_sync_error",
                  "ci95_halfwidth", "n_trials")
 
 
-def _check_trials(n_trials: int) -> int:
-    if n_trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {n_trials}")
-    return n_trials
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _run_plan(sc: Scenario, key: str, plan, columns: tuple[str, ...], trials: int | None,
               seed: int | None, out_dir: str | Path | None, fname: str) -> list[dict]:
-    """Run a plan of (scenario variant, its cells of (SNR, SIR, leading columns)).
+    """Run a plan: cells of (scenario variant, SNR, SIR, leading columns).
 
-    A variant draws trial t once, from trial_rng(seed, key, t), and scores
-    each block of `_BLOCK` trials cell by cell.  Returns one row per cell and
-    algorithm, in plan order: `columns` out of the leading columns, algorithm,
-    interferer kind and aggregate statistics (to out_dir/fname with out_dir).
-    Cells with equal leading values (listed twice, or 0 and -0) fail first.
+    Trial t is drawn once, from trial_rng(seed, key, t) under the first cell's
+    variant (others may differ only in an interferer drawing as many values),
+    and each `_BLOCK` of trials is scored cell by cell.  Returns a row per cell
+    and algorithm in plan order: `columns` of its leading columns, algorithm,
+    interferer kind and statistics.  A negative seed or repeated cell fails first.
     """
-    n_trials = _check_trials(sc.n_trials if trials is None else trials)
-    leads = Counter(tuple(lead.values()) for _, cells in plan for *_, lead in cells)
+    n_trials = _at_least("trial count", sc.n_trials if trials is None else trials, 1)
+    leads = Counter(tuple(lead.values()) for *_, lead in plan)
     repeated = [lead for lead, count in leads.items() if count > 1]
     if repeated:
         raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
                          f"is listed twice")
-    master_seed = sc.master_seed if seed is None else seed
+    master_seed = _at_least("seed", sc.master_seed if seed is None else seed, 0)
+    per_cell = [[] for _ in plan]  # run_cell's outcomes, one dict per block
+    for start in range(0, n_trials, _BLOCK):
+        block = [_draw(plan[0][0], trial_rng(master_seed, key, t))
+                 for t in range(start, min(start + _BLOCK, n_trials))]
+        for (cell_sc, snr_db, sir_db, _), got in zip(plan, per_cell):
+            got.append(run_cell(cell_sc, snr_db, sir_db, len(block), master_seed, key, block))
+        del block  # free it before the next block is drawn
     rows: list[dict] = []
-    for cell_sc, cells in plan:
-        per_cell = [[] for _ in cells]  # run_cell's outcomes, one dict per block
-        for start in range(0, n_trials, _BLOCK):
-            block = [_draw(cell_sc, trial_rng(master_seed, key, t))
-                     for t in range(start, min(start + _BLOCK, n_trials))]
-            for (snr_db, sir_db, _), got in zip(cells, per_cell):
-                got.append(run_cell(cell_sc, snr_db, sir_db, len(block), master_seed, key, block))
-        for (*_, lead), got in zip(cells, per_cell):
-            for algo in cell_sc.algorithms:
-                stats = aggregate([out for outs in got for out in outs[algo]])
-                row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi.kind,
-                       "p_sync_error": stats.p_sync_error, "ci95_halfwidth": stats.ci_halfwidth,
-                       "mse_time_samples2": stats.mse_time, "mse_freq_sc2": stats.mse_freq,
-                       "ber_preamble": stats.ber, "n_trials": stats.n_trials}
-                rows.append({col: row[col] for col in columns})
+    for (cell_sc, *_, lead), got in zip(plan, per_cell):
+        for algo in cell_sc.algorithms:
+            stats = aggregate([out for outs in got for out in outs[algo]])
+            row = {**lead, "algorithm": algo, "nbi_kind": cell_sc.nbi.kind,
+                   "p_sync_error": stats.p_sync_error, "ci95_halfwidth": stats.ci_halfwidth,
+                   "mse_time_samples2": stats.mse_time, "mse_freq_sc2": stats.mse_freq,
+                   "ber_preamble": stats.ber, "n_trials": stats.n_trials}
+            rows.append({col: row[col] for col in columns})
     _write_outputs(out_dir, fname, rows, sc, master_seed, n_trials)
     return rows
 
@@ -215,8 +226,8 @@ def run_scenario(sc: Scenario, out_dir: str | Path | None = None,
                  trials: int | None = None, seed: int | None = None) -> list[dict]:
     """Run the whole grid, every cell on the frames drawn under the key "grid";
     returns result rows, optionally writing CSV+manifest."""
-    plan = [(sc, [(snr_db, sir_db, {"snr_db": snr_db, "sir_db": sir_db})
-                  for snr_db in sc.snr_grid for sir_db in sc.sir_grid])]
+    plan = [(sc, snr_db, sir_db, {"snr_db": snr_db, "sir_db": sir_db})
+            for snr_db in sc.snr_grid for sir_db in sc.sir_grid]
     return _run_plan(sc, "grid", plan, RESULT_COLUMNS, trials, seed, out_dir, "results.csv")
 
 
@@ -230,8 +241,8 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     rule, delta_f = bandwidth/2 - f_m, so bandwidths at or below 2 f_m are
     rejected.  They, an empty bandwidth or SIR list, a repeated bandwidth or
     SIR, and a NaN or -inf SNR or SIR are rejected before any trial runs.
-    The scenario's own SNR grid and interferer kind are overridden.  Each
-    bandwidth re-draws the frames of the key "sweep" with its own interferer.
+    The scenario's own SNR grid and interferer kind are overridden.  Every
+    bandwidth scores the frames of the key "sweep" with its own interferer.
     """
     bandwidths = tuple(bandwidths_hz if bandwidths_hz is not None
                        else sc.sweep_bandwidths_hz)
@@ -243,8 +254,8 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
     check_level_db("snr_db", snr_db)
     check_level_db("sir_db", *sirs)
     plan = [(replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw)),
-             [(snr_db, sir_db, {"bandwidth_hz": bw, "sir_db": sir_db}) for sir_db in sirs])
-            for bw in bandwidths]
+             snr_db, sir_db, {"bandwidth_hz": bw, "sir_db": sir_db})
+            for bw in bandwidths for sir_db in sirs]
     return _run_plan(sc, "sweep", plan, SWEEP_COLUMNS, trials, seed, out_dir,
                      "bandwidth_sweep.csv")
 
@@ -261,13 +272,12 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
     no detection, BER or scoring.  Returns (rows, filename); rows hold
     Python ints and floats.
     """
-    if trial < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial}")
+    _at_least("trial index", trial, 0)
     if "nirs" not in sc.algorithms:
         raise ValueError("a trace dump needs nirs in [sync] algorithms")
     check_level_db("snr_db", snr_db)
     check_level_db("sir_db", sir_db)
-    n_trials = _check_trials(n_frames if percentiles else 1)
+    n_trials = _at_least("trial count", n_frames if percentiles else 1, 1)
     cell_key = f"trace|snr={snr_db!r}|sir={sir_db!r}"
 
     def frame_trace(t: int) -> MetricTrace:

@@ -66,6 +66,8 @@ class Scenario:
             raise ScenarioError(f"[grid] {exc}") from exc
         if self.n_trials < 1:
             raise ScenarioError("[run] n_trials must be >= 1")
+        if self.master_seed < 0:
+            raise ScenarioError(f"[run] master_seed must be >= 0, got {self.master_seed}")
         for key, bound in (("[cfo] max_hz", self.cfo_max_hz),
                            ("[nbi] freq_offset_max_hz", self.nbi_offset_max_hz)):
             if not 0 <= bound < math.inf:

@@ -3,6 +3,7 @@
 import pytest
 
 from ncsync.cli import main
+from ncsync.scenario import load
 
 
 def test_run_command_writes_outputs(tmp_path, capsys):
@@ -63,6 +64,28 @@ def test_sweep_command_rejects_a_repeated_bandwidth(tmp_path, capsys):
     assert not (tmp_path / "bandwidth_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep-bandwidth"], ["trace", "--cell", "20,0"]])
+def test_a_negative_master_seed_in_the_file_is_named(command, tmp_path, capsys):
+    ini = tmp_path / "neg.ini"
+    ini.write_text(load("quick_demo").source_text.replace("master_seed = 30115",
+                                                          "master_seed = -30115"))
+    assert "-30115" in ini.read_text()
+    rc = main([command[0], str(ini), *command[1:], "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: [run] master_seed must be >= 0, got -30115" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["neg.ini"]
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("run", "quick_demo"), ("sweep-bandwidth", "nbi_bandwidth_sweep")])
+def test_a_negative_seed_flag_is_named(command, scenario, tmp_path, capsys):
+    rc = main([command, scenario, "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_count_ops_matches_cost_table(capsys):
     rc = main(["count-ops"])
     assert rc == 0
@@ -98,6 +121,14 @@ def test_validate_appendix_rejects_fewer_than_one_grid_or_trial(flag, tmp_path, 
     assert f"error: {flag} must be >= 1, got 0" in captured.err
     assert "PASS" not in captured.out
     assert not (tmp_path / "notch_study.csv").exists()
+
+
+def test_validate_appendix_rejects_a_negative_seed(tmp_path, capsys):
+    rc = main(["validate-appendix", "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: --seed must be >= 0, got -1" in captured.err
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("sir", ["nan", "-inf"])

@@ -13,7 +13,7 @@ _SPEC.loader.exec_module(hash_outputs)
 
 FILES = ["sync_error_ideal_tone/results.csv", "sync_error_fm_28k/results.csv",
          "sync_error_wideband_fm/results.csv", "nbi_bandwidth_sweep/bandwidth_sweep.csv",
-         "trace_pct/trace_percentiles.csv"]
+         "trace_pct/trace_percentiles.csv", "trace_pct/trace.csv"]
 
 
 def hashes(capsys, *argv) -> list[list[str]]:
@@ -27,8 +27,9 @@ def test_one_trial_hashes_every_output_for_every_seed_and_repeats(capsys):
         [(seed, what) for seed in ("preset", "7") for what in FILES]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in lines)
     # Another seed draws other frames, so every file changes.
-    assert all(a[2] != b[2] for a, b in zip(lines[:5], lines[5:]))
-    assert hashes(capsys, "--trials", "1", "--frames", "2", "--seeds", "7") == lines[5:]
+    n = len(FILES)
+    assert all(a[2] != b[2] for a, b in zip(lines[:n], lines[n:]))
+    assert hashes(capsys, "--trials", "1", "--frames", "2", "--seeds", "7") == lines[n:]
 
 
 def test_no_seed_is_an_error(capsys):

@@ -385,6 +385,20 @@ def test_every_entry_point_rejects_fewer_than_one_trial():
         emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=0)
 
 
+def test_a_negative_seed_is_named_at_load_and_before_any_trial(monkeypatch):
+    with pytest.raises(ScenarioError, match=r"^\[run\] master_seed must be >= 0, got -30115$"):
+        parse_scenario(CLEAN_INI.replace("master_seed = 5", "master_seed = -30115"))
+    with pytest.raises(ScenarioError, match=r"^\[run\] master_seed must be >= 0, got -1$"):
+        replace(load("quick_demo"), master_seed=-1)
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "trial_rng", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        run_scenario(load("quick_demo"), trials=1, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -7$"):
+        run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), trials=1, seed=-7)
+    assert calls == []
+
+
 def test_bad_trace_and_sweep_inputs_fail_before_any_trial(monkeypatch):
     calls = []
     monkeypatch.setattr(ncsync.runner, "run_trial", lambda *args, **kw: calls.append(args))
@@ -438,26 +452,67 @@ def test_receive_draws_as_run_trial(name, cell, monkeypatch):
         assert rng_receive.uniform() == rng_trial.uniform()
 
 
+def _at_bandwidth(sc, bw):
+    return replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw))
+
+
+SWEEP_BWS, SWEEP_SIRS = (8000.0, 64000.0), (-10.0, 10.0)
+
+
 # A plan draws trial t once, from its plan-level key ("grid" for run_scenario,
-# "sweep" for the bandwidth sweep), and scores that frame in every cell.
+# "sweep" for the bandwidth sweep), and scores that frame in every cell; a
+# sweep cell scores it with its own bandwidth's interferer.
 @pytest.mark.parametrize("name, grid", [
     ("quick_demo", {}),  # SIR 0 dB and inf
-    ("sync_error_ideal_tone", {"snr_grid": (20.0, 8.0), "sir_grid": (0.0, 100.0)})])
+    ("sync_error_ideal_tone", {"snr_grid": (20.0, 8.0), "sir_grid": (0.0, 100.0)}),
+    ("nbi_bandwidth_sweep", None)])  # two bandwidths x two SIRs
 def test_every_cell_of_a_plan_traces_the_frame_receive_makes_from_the_plan_key(
         name, grid, monkeypatch):
-    sc = replace(load(name), **grid)
     seen = []
     compute_trace = ncsync.runner.compute_trace
     monkeypatch.setattr(ncsync.runner, "compute_trace",
                         lambda r, *args, **kw: seen.append(r) or compute_trace(r, *args, **kw))
     trials, seed = 3, 17
-    run_scenario(sc, trials=trials, seed=seed)
-    cells = [(snr, sir) for snr in sc.snr_grid for sir in sc.sir_grid]
+    if grid is None:
+        sc, key = load(name), "sweep"
+        run_nbi_bandwidth_sweep(sc, bandwidths_hz=SWEEP_BWS, sir_list=SWEEP_SIRS,
+                                trials=trials, seed=seed)
+        cells = [(_at_bandwidth(sc, bw), 20.0, sir) for bw in SWEEP_BWS for sir in SWEEP_SIRS]
+    else:
+        sc, key = replace(load(name), **grid), "grid"
+        run_scenario(sc, trials=trials, seed=seed)
+        cells = [(sc, snr, sir) for snr in sc.snr_grid for sir in sc.sir_grid]
     assert len(seen) == len(cells) * trials
-    for got, ((snr, sir), t) in zip(seen, ((cell, t) for cell in cells for t in range(trials))):
-        want, *_ = _receive(sc, snr, sir, trial_rng(seed, "grid", t))
+    for got, (cell, t) in zip(seen, ((cell, t) for cell in cells for t in range(trials))):
+        want, *_ = _receive(*cell, trial_rng(seed, key, t))
         assert got.origin == want.origin
         assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_the_bandwidth_sweep_draws_each_trial_index_once(monkeypatch):
+    drawn = []
+    rng = ncsync.runner.trial_rng
+    monkeypatch.setattr(ncsync.runner, "trial_rng",
+                        lambda *args: drawn.append(args) or rng(*args))
+    trials, seed = 5, 41
+    run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), bandwidths_hz=SWEEP_BWS,
+                            sir_list=SWEEP_SIRS, trials=trials, seed=seed)
+    assert drawn == [(seed, "sweep", t) for t in range(trials)]
+
+
+def test_a_frame_mixed_under_one_bandwidth_then_another_mixes_as_a_fresh_draw():
+    sweep = load("nbi_bandwidth_sweep")
+    a, b = (_at_bandwidth(sweep, bw) for bw in SWEEP_BWS)
+    _, frame = _receive(a, 20.0, 0.0, trial_rng(3, "sweep", 2))
+    seen = []
+    for sc in (b, a, b):
+        got, same = _receive(sc, 20.0, 0.0, frame)
+        want, fresh = _receive(sc, 20.0, 0.0, trial_rng(3, "sweep", 2))
+        assert same is frame
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert frame.nbi.samples.tobytes() == fresh.nbi.samples.tobytes()
+        seen.append(got.samples.tobytes())
+    assert seen[0] == seen[2] != seen[1]  # the interferer is the bandwidth's
 
 
 def _stats(outcomes):
@@ -480,13 +535,13 @@ def test_plan_rows_are_the_rows_of_its_cells_run_alone_with_the_plan_key():
 
     sweep = load("nbi_bandwidth_sweep")
     want = []
-    for bw in (8000.0, 64000.0):
-        bw_sc = replace(sweep, nbi=replace(sweep.nbi, kind="fm_wideband", bandwidth_hz=bw))
-        for sir in (-10.0, 10.0):
+    for bw in SWEEP_BWS:
+        bw_sc = _at_bandwidth(sweep, bw)
+        for sir in SWEEP_SIRS:
             out = run_cell(bw_sc, 20.0, sir, trials, seed, "sweep")
             want += [(bw, sir, algo, *_stats(out[algo])[:2], trials) for algo in sweep.algorithms]
-    rows = run_nbi_bandwidth_sweep(sweep, bandwidths_hz=(8000.0, 64000.0),
-                                   sir_list=(-10.0, 10.0), trials=trials, seed=seed)
+    rows = run_nbi_bandwidth_sweep(sweep, bandwidths_hz=SWEEP_BWS, sir_list=SWEEP_SIRS,
+                                   trials=trials, seed=seed)
     assert [tuple(row.values()) for row in rows] == want
 
 

@@ -12,7 +12,8 @@ directory and one line is printed per file (seed, scenario/file, SHA-256):
   sync_error_wideband_fm, run at --trials trials per cell;
 - bandwidth_sweep.csv of nbi_bandwidth_sweep at --trials trials per cell;
 - trace_percentiles.csv of the trace_pct benchmark cell: sync_error_fm_28k
-  at 20 dB SNR and 0 dB SIR over --frames frames.
+  at 20 dB SNR and 0 dB SIR over --frames frames;
+- trace.csv of the same cell's single frame at trial index 1.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def outputs(seed: int | None, trials: int, frames: int, out: Path):
     sc = scenario.load(name)
     if seed is not None:
         sc = dataclasses.replace(sc, master_seed=seed)
-    _, fname = runner.emit_trace(sc, snr_db, sir_db, percentiles=True, n_frames=frames,
-                                 out_dir=out / "trace_pct")
-    yield f"trace_pct/{fname}", out / "trace_pct" / fname
+    for kw in ({"percentiles": True, "n_frames": frames}, {"trial": 1}):
+        _, fname = runner.emit_trace(sc, snr_db, sir_db, out_dir=out / "trace_pct", **kw)
+        yield f"trace_pct/{fname}", out / "trace_pct" / fname
 
 
 def main(argv=None) -> int:
