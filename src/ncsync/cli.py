@@ -170,8 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentiles", action="store_true",
                    help="emit per-index percentiles over many frames")
     p.add_argument("--frames", type=int, default=200,
-                   help="frames for percentile mode")
-    p.add_argument("--trial", type=int, default=0, help="trial index for single mode")
+                   help="frames for percentile mode: trials 0 .. F-1 of `run` at this cell")
+    p.add_argument("--trial", type=int, default=0,
+                   help="trial index for single mode: the frame `run` scores as that "
+                        "trial at this cell (a `run --seed X` replays from a scenario "
+                        "whose master_seed is X)")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_trace)
 

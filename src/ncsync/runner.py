@@ -7,6 +7,8 @@ trial once from one plan-level key and scores it in all its cells (common
 random numbers), so its cells are positively correlated, not independent.
 Every detector sees the same frames, so algorithm comparisons are paired.
 Runs repeat byte for byte; a cell run alone with its plan's key gives its rows.
+A trace dump draws from the grid's key too, so trace trial t of a cell is the
+frame a run at the scenario's master seed scored as trial t there.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .streaming import OpCounters, model_counters
 
 # Trial indices a plan draws at once (~200 KB each); no row depends on it.
 _BLOCK = 64
+# The key of the grid's frames, which `run_scenario` scores and `emit_trace` dumps.
+_GRID_KEY = "grid"
 
 
 def trial_rng(master_seed: int, cell_key: str, trial: int) -> np.random.Generator:
@@ -155,6 +159,8 @@ def run_cell(sc: Scenario, snr_db: float, sir_db: float, n_trials: int,
     """Outcomes of trials 0 .. n_trials - 1 at one (SNR, SIR), per detector.
     `cell_key` names a realization stream, so a cell run with its plan's key
     gives the outcomes it has in the plan; a plan passes its frames as `_drawn`."""
+    _at_least("trial count", n_trials, 1)
+    _at_least("seed", master_seed, 0)
     frames = _drawn or (trial_rng(master_seed, cell_key, t) for t in range(n_trials))
     out: dict[str, list[TrialOutcome]] = {algo: [] for algo in sc.algorithms}
     for frame in frames:
@@ -228,7 +234,7 @@ def run_scenario(sc: Scenario, out_dir: str | Path | None = None,
     returns result rows, optionally writing CSV+manifest."""
     plan = [(sc, snr_db, sir_db, {"snr_db": snr_db, "sir_db": sir_db})
             for snr_db in sc.snr_grid for sir_db in sc.sir_grid]
-    return _run_plan(sc, "grid", plan, RESULT_COLUMNS, trials, seed, out_dir, "results.csv")
+    return _run_plan(sc, _GRID_KEY, plan, RESULT_COLUMNS, trials, seed, out_dir, "results.csv")
 
 
 def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
@@ -265,12 +271,13 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
                out_dir: str | Path | None = None) -> tuple[list[dict], str]:
     """Metric-trace dump for one cell.
 
-    Single-trial mode emits the full per-window record of one realization;
-    percentile mode re-runs n_frames realizations and emits per-index
-    10th/50th/90th percentiles of both timing metrics.  Each frame runs the
-    realization (`_receive`, as in `run_trial`) and the metric trace only:
-    no detection, BER or scoring.  Returns (rows, filename); rows hold
-    Python ints and floats.
+    Single-trial mode emits the full per-window record of frame `trial`;
+    percentile mode emits per-index 10th/50th/90th percentiles of both timing
+    metrics over frames 0 .. n_frames - 1.  Frame t is the one `run_scenario`
+    scores as trial t of this cell at sc.master_seed (the grid's key), so a run
+    made with --seed X replays from a scenario whose master seed is X.  Each
+    frame runs `_receive` and the metric trace only: no detection, BER or
+    scoring.  Returns (rows, filename); rows hold Python ints and floats.
     """
     _at_least("trial index", trial, 0)
     if "nirs" not in sc.algorithms:
@@ -278,10 +285,9 @@ def emit_trace(sc: Scenario, snr_db: float, sir_db: float, trial: int = 0,
     check_level_db("snr_db", snr_db)
     check_level_db("sir_db", sir_db)
     n_trials = _at_least("trial count", n_frames if percentiles else 1, 1)
-    cell_key = f"trace|snr={snr_db!r}|sir={sir_db!r}"
 
     def frame_trace(t: int) -> MetricTrace:
-        received, *_ = _receive(sc, snr_db, sir_db, trial_rng(sc.master_seed, cell_key, t))
+        received, *_ = _receive(sc, snr_db, sir_db, trial_rng(sc.master_seed, _GRID_KEY, t))
         return compute_trace(received, sc.frame.n_fft)
 
     if percentiles:

@@ -76,10 +76,15 @@ class Scenario:
         if self.cfo_max_hz >= self.frame.sc_spacing_hz:
             raise ScenarioError(f"[cfo] max_hz must be below the subcarrier spacing "
                                 f"{self.frame.sc_spacing_hz} Hz, got {self.cfo_max_hz}")
-        # One even bin makes the preamble a pure tone, which NIRS cancels by design.
-        if self.frame.smap.even_occupied().size == 1:
-            raise ScenarioError("[frame] occupied must hold more than one even subcarrier, "
-                                "got one: the preamble would be a pure tone")
+        # Even bins all in one class mod 4 (one bin: a pure tone) hide the
+        # preamble from NIRS, which then errs on every trial.
+        even = self.frame.smap.even_occupied()
+        n_4k = int((even % 4 == 0).sum())
+        n_4k2 = even.size - n_4k
+        if not n_4k or not n_4k2:
+            raise ScenarioError(f"[frame] occupied must hold even subcarriers k = 0 and "
+                                f"k = 2 (mod 4), got {n_4k} and {n_4k2}: NIRS cannot "
+                                f"see the preamble")
         if self.nbi.sc_spacing_hz != self.frame.sc_spacing_hz:
             raise ScenarioError(f"interferer spacing {self.nbi.sc_spacing_hz} Hz differs "
                                 f"from the frame's {self.frame.sc_spacing_hz} Hz")

@@ -1,7 +1,11 @@
 """End-to-end checks of the console entry point."""
 
+import csv
+import json
+
 import pytest
 
+import ncsync.runner
 from ncsync.cli import main
 from ncsync.scenario import load
 
@@ -31,6 +35,31 @@ def test_trace_command(tmp_path, capsys):
 
     rc = main(["trace", "quick_demo", "--cell", "nonsense", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_trace_command_writes_the_trace_of_a_run_trial(tmp_path, monkeypatch):
+    scored = []
+    compute_trace = ncsync.runner.compute_trace
+    monkeypatch.setattr(ncsync.runner, "compute_trace",
+                        lambda *args, **kw: scored.append(compute_trace(*args, **kw))
+                        or scored[-1])
+    assert main(["run", "quick_demo", "--trials", "2", "--out", str(tmp_path / "run")]) == 0
+    sc = load("quick_demo")
+    cells = [(snr, sir) for snr in sc.snr_grid for sir in sc.sir_grid]
+    tr = scored[2 * cells.index((20.0, 0.0)) + 1]  # cell-major: trial 1 of cell (20, 0)
+    assert main(["trace", "quick_demo", "--cell", "20,0", "--trial", "1",
+                 "--out", str(tmp_path / "trace")]) == 0
+    with open(tmp_path / "trace" / "trace.csv", newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == ["n", "g_re", "g_im", "m", "q_re", "q_im", "g_nirs_re", "g_nirs_im",
+                      "metric_sc", "metric_nirs"]
+    columns = (tr.n, tr.g.real, tr.g.imag, tr.m, tr.q.real, tr.q.imag, tr.g_nirs.real,
+               tr.g_nirs.imag, tr.metric_sc, tr.metric_nirs)
+    assert lines == [[str(n)] + ["%.10g" % v for v in values]
+                     for n, *values in zip(*columns)]
+    seeds = [json.loads((tmp_path / job / "manifest.json").read_text())["master_seed"]
+             for job in ("run", "trace")]
+    assert seeds == [sc.master_seed] * 2
 
 
 def test_trace_command_names_a_negative_trial_index(tmp_path, capsys):

@@ -259,9 +259,8 @@ TRACE_SCENARIO, TRACE_CELL = "sync_error_fm_28k", (20.0, 0.0)
 
 
 def cell_traces(sc, trials):
-    """The traces emit_trace reduces, drawn with its cell key."""
-    key = f"trace|snr={TRACE_CELL[0]!r}|sir={TRACE_CELL[1]!r}"
-    return [run_trial(sc, *TRACE_CELL, trial_rng(sc.master_seed, key, t),
+    """The traces emit_trace reduces: the grid's trials, as a run draws them."""
+    return [run_trial(sc, *TRACE_CELL, trial_rng(sc.master_seed, "grid", t),
                       keep_trace=True).trace for t in trials]
 
 

@@ -44,11 +44,11 @@ GOLDEN = {
     "nbi_bandwidth_sweep/bandwidth_sweep.csv":
         "a34e00469adde3d5cdf2e127325bcdfed19c2632b4430bf3841f34a6b4e7812d",
     "trace/trace.csv":
-        "0dbdc229255103aec94e205f8fa809fc69bcae34a83ea0b258023896a3664c61",
+        "7e27f770398b7f3ba6c160c8148fd3b387cae9dc5bee483472ab53f3503537d6",
     "trace_pct/trace_percentiles.csv":
-        "b0681084ab7493f8614b7a98ef0d19a975df860f6ee136db6588c9f832583e5a",
+        "0b6e1f4e279a55919bdb5008704deea8ce8d3bf9ced3150a37ae0c5dfec8b4b1",
     "trace_pct_200/trace_percentiles.csv":
-        "72ab72c3c329cf038b9c597d6d901346a7264d7b17c76fe79a04e58f9eafdf92",
+        "7835c69fdec08d5fef09c5f099e661662b4251b8d0e95aaf3ecc0912cd79ebab",
     "validate_appendix/notch_study.csv":
         "b325440d7b53f8a101100efb0c079d84efedd1e8e5ab64dffa3787b52bd207ff",
 }

@@ -11,9 +11,10 @@ _SPEC = importlib.util.spec_from_file_location("hash_outputs", _PATH)
 hash_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(hash_outputs)
 
-FILES = ["sync_error_ideal_tone/results.csv", "sync_error_fm_28k/results.csv",
-         "sync_error_wideband_fm/results.csv", "nbi_bandwidth_sweep/bandwidth_sweep.csv",
-         "trace_pct/trace_percentiles.csv", "trace_pct/trace.csv"]
+FILES = ["quick_demo/results.csv", "sync_error_ideal_tone/results.csv",
+         "sync_error_fm_28k/results.csv", "sync_error_wideband_fm/results.csv",
+         "nbi_bandwidth_sweep/bandwidth_sweep.csv", "trace_pct/trace_percentiles.csv",
+         "trace_pct/trace.csv"]
 
 
 def hashes(capsys, *argv) -> list[list[str]]:

@@ -207,6 +207,15 @@ def test_a_map_with_one_even_subcarrier_fails_at_load(occupied):
     assert parse_scenario(CLEAN_INI.replace(line, "occupied = 2, 4")).frame.smap.occupied == (2, 4)
 
 
+@pytest.mark.parametrize("occupied, counts", [("1, 4, 5, 8, 12", "3 and 0"),
+                                               ("1, 2, 5, 6, 10", "0 and 3")])
+def test_a_map_with_its_even_subcarriers_in_one_class_mod_4_fails_at_load(occupied, counts):
+    # NIRS errs on every trial of such a preamble, with or without an interferer.
+    line = "occupied = -100..-1, 1..3, 46..100"
+    with pytest.raises(ScenarioError, match=rf"^\[frame\] occupied .* got {counts}: NIRS"):
+        parse_scenario(CLEAN_INI.replace(line, f"occupied = {occupied}"))
+
+
 def test_preset_inventory():
     assert preset_names() == ["nbi_bandwidth_sweep", "quick_demo",
                               "sync_error_fm_28k", "sync_error_ideal_tone",
@@ -314,6 +323,50 @@ def test_trace_dump_columns(tmp_path):
         assert row["metric_sc_p10"] <= row["metric_sc_p50"] <= row["metric_sc_p90"]
 
 
+def _per_window_rows(tr):
+    """Single-trace rows built by indexing the trace one window at a time."""
+    return [{"n": int(n), "g_re": tr.g[i].real, "g_im": tr.g[i].imag, "m": tr.m[i],
+             "q_re": tr.q[i].real, "q_im": tr.q[i].imag,
+             "g_nirs_re": tr.g_nirs[i].real, "g_nirs_im": tr.g_nirs[i].imag,
+             "metric_sc": tr.metric_sc[i], "metric_nirs": tr.metric_nirs[i]}
+            for i, n in enumerate(tr.n)]
+
+
+def test_a_failing_run_trial_replays_as_its_trace():
+    # S&C locks on the tone's plateau at SIR 0 dB, so every trial here is a failure.
+    sc, cell = load("sync_error_ideal_tone"), (20.0, 0.0)
+    run = run_cell(sc, *cell, 30, sc.master_seed, "grid")
+    failed = [k for k, out in enumerate(run["sc"]) if out.is_sync_error]
+    assert failed
+    for k in failed:
+        rec = run_trial(sc, *cell, trial_rng(sc.master_seed, "grid", k), keep_trace=True)
+        assert rec.outcomes == {algo: run[algo][k] for algo in sc.algorithms}
+        rows, _ = emit_trace(sc, *cell, trial=k)
+        assert rows == _per_window_rows(rec.trace)
+
+
+def test_every_cell_traces_the_frames_a_run_scores(monkeypatch):
+    seen = []
+    compute_trace = ncsync.runner.compute_trace
+    monkeypatch.setattr(ncsync.runner, "compute_trace",
+                        lambda r, *args, **kw: seen.append(compute_trace(r, *args, **kw))
+                        or seen[-1])
+    sc, trials = load("sync_error_ideal_tone"), 5
+    run_scenario(sc, trials=trials)
+    cells = [(snr, sir) for snr in sc.snr_grid for sir in sc.sir_grid]
+    assert len(seen) == len(cells) * trials
+    for tr, (cell, t) in zip(seen, ((cell, t) for cell in cells for t in range(trials))):
+        want = np.column_stack([tr.n, tr.g.real, tr.g.imag, tr.m, tr.q.real, tr.q.imag,
+                                tr.g_nirs.real, tr.g_nirs.imag, tr.metric_sc, tr.metric_nirs])
+        rows, _ = emit_trace(sc, *cell, trial=t)
+        got = np.array([list(row.values()) for row in rows], dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), (cell, t)
+    # A percentile dump of F frames reduces the first F trials of its cell.
+    rows, _ = emit_trace(sc, *cells[-1], percentiles=True, n_frames=trials)
+    stack = np.array([tr.metric_nirs for tr in seen[-trials:]])
+    assert [row["metric_nirs_p50"] for row in rows] == np.percentile(stack, 50, axis=0).tolist()
+
+
 def test_mapped_and_heap_percentile_stacks_give_the_same_rows(monkeypatch):
     sc = load("quick_demo")
     stack = ncsync.runner._mapped_empty((2, 3, 5))
@@ -383,6 +436,17 @@ def test_every_entry_point_rejects_fewer_than_one_trial():
         run_nbi_bandwidth_sweep(load("nbi_bandwidth_sweep"), trials=-2)
     with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
         emit_trace(sc, 20.0, 0.0, percentiles=True, n_frames=0)
+
+
+def test_run_cell_names_a_bad_trial_count_or_seed_before_any_draw(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "trial_rng", lambda *args: calls.append(args))
+    sc = load("quick_demo")
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        run_cell(sc, 20.0, 0.0, 1, -1, "grid")
+    with pytest.raises(ValueError, match="^trial count must be >= 1, got 0$"):
+        run_cell(sc, 20.0, 0.0, 0, 5, "grid")
+    assert calls == []
 
 
 def test_a_negative_seed_is_named_at_load_and_before_any_trial(monkeypatch):

@@ -8,8 +8,8 @@ from this repository's src otherwise.  For each seed, an integer or `preset`
 for each scenario's own master seed, the outputs are written to a temporary
 directory and one line is printed per file (seed, scenario/file, SHA-256):
 
-- results.csv of sync_error_ideal_tone, sync_error_fm_28k and
-  sync_error_wideband_fm, run at --trials trials per cell;
+- results.csv of quick_demo (the flat-channel preset), sync_error_ideal_tone,
+  sync_error_fm_28k and sync_error_wideband_fm, run at --trials trials per cell;
 - bandwidth_sweep.csv of nbi_bandwidth_sweep at --trials trials per cell;
 - trace_percentiles.csv of the trace_pct benchmark cell: sync_error_fm_28k
   at 20 dB SNR and 0 dB SIR over --frames frames;
@@ -29,13 +29,14 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from ncsync import runner, scenario  # noqa: E402  (after the path fallback)
 
-MC_PRESETS = ("sync_error_ideal_tone", "sync_error_fm_28k", "sync_error_wideband_fm")
+RUN_PRESETS = ("quick_demo", "sync_error_ideal_tone", "sync_error_fm_28k",
+               "sync_error_wideband_fm")
 TRACE_CELL = ("sync_error_fm_28k", 20.0, 0.0)
 
 
 def outputs(seed: int | None, trials: int, frames: int, out: Path):
     """Write every output for one seed; yields (scenario/file, path)."""
-    for name in MC_PRESETS:
+    for name in RUN_PRESETS:
         runner.run_scenario(scenario.load(name), out / name, trials=trials, seed=seed)
         yield f"{name}/results.csv", out / name / "results.csv"
     name = "nbi_bandwidth_sweep"
