@@ -12,30 +12,30 @@ symbol (a sum of sine ratios over the occupied bins) and is small whenever f
 falls in a spectral notch.  This module provides the direct sum, the
 flat-channel closed form, the exact decomposition of G and Q over a signal +
 tone mixture, and a Monte-Carlo estimate of how much cross-term power
-survives a given notch width.
+survives a given notch width on the harness's own frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .impairments import NbiSpec, apply_multipath, check_level_db, draw_channel_cost207tu, \
-    gen_nbi, mean_power
-from .ofdm import FrameSpec, SubcarrierMap, SymbolGrid, TimeSignal, build_frame, \
-    generate_preamble, random_data_symbol
+from .impairments import MixSpec, calibrate_and_mix
+from .ofdm import FrameSpec, SubcarrierMap, TimeSignal
+from .runner import _draw
+from .scenario import load
 
 TIMING_POSITIONS = ("optimal", "random_data")
 
-# Geometry and draws of the notch study: the main scenario's frame, with the
-# interferer and the notch both centred at NBI_CENTER subcarrier spacings, the
-# CFO uniform in +-CFO_MAX spacings and the interferer offset in
-# +-NBI_OFFSET_MAX.  Bootstrap intervals take N_BOOT resamples at CI_LEVEL.
-N_FFT, N_CP, N_SYMBOLS = 256, 32, 11
+# The notch study draws STUDY_PRESET's frames on a notched map.  N_FFT, N_CP,
+# NBI_CENTER (where the notch is centred) and CFO_MAX (in spacings) repeat
+# that preset's values for `notched_map` and the closed-form checks; a test
+# holds them equal.  Bootstrap intervals take N_BOOT resamples at CI_LEVEL.
+STUDY_PRESET = "sync_error_ideal_tone"
+N_FFT, N_CP = 256, 32
 NBI_CENTER = 24.5
 CFO_MAX = 0.7
-NBI_OFFSET_MAX = 14e3 / 15e3
 N_BOOT, CI_LEVEL = 500, 0.95
 
 # A bin is treated as singular (limit form) when k - f + nu is within this
@@ -231,41 +231,37 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
                          n_trials: int, rng: np.random.Generator) -> CrossPowerStats:
     """Monte-Carlo cross-term power study for one notch width.
 
-    Each trial builds a preamble-led frame on the notched map, runs it through
-    a random urban channel, and decomposes G at the chosen timing position
-    ("optimal" = frame start, "random_data" = uniform inside the data
-    symbols) against a tone at the calibrated SIR.  Cross-term power shrinks
-    as the notch widens; at infinite SIR the tone vanishes and the ratio is 0.
+    Each trial draws a frame of STUDY_PRESET on the notched map with no
+    silent prefix, through the harness's own draw (`runner._draw`: preamble,
+    data, urban channel, CFO, tone) and scales the tone to sir_db as its mix
+    does.  G is decomposed at the chosen timing position ("optimal" = frame
+    start, "random_data" = uniform inside the data symbols).  Cross-term
+    power shrinks as the notch widens; at infinite SIR the tone vanishes and
+    the ratio is 0.
     """
     if timing not in TIMING_POSITIONS:
         raise ValueError(f"unknown timing {timing!r}; expected one of {TIMING_POSITIONS}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    check_level_db("sir_db", sir_db)
-    spec = FrameSpec(smap=notched_map(N_FFT, notch_scs), n_cp=N_CP, n_symbols=N_SYMBOLS)
-    no_tone = sir_db == np.inf
+    level = MixSpec(np.inf, sir_db)  # rejects a NaN or -inf SIR
+    sc = load(STUDY_PRESET)
+    sc = replace(sc, frame=replace(sc.frame, smap=notched_map(N_FFT, notch_scs),
+                                   n_empty_prefix=0))
+    spec = sc.frame
 
     cross_pow = np.empty(n_trials)
     y_pow = np.empty(n_trials)
     i_pow = np.empty(n_trials)
     for t in range(n_trials):
-        grid = SymbolGrid(spec)
-        grid.data[0] = generate_preamble(spec, rng)
-        grid.data[1:] = random_data_symbol(spec, rng, N_SYMBOLS - 1)
-        y = apply_multipath(build_frame(grid), draw_channel_cost207tu(rng, spec.sample_rate_hz))
-        nu = rng.uniform(-CFO_MAX, CFO_MAX)
-        f = NBI_CENTER + rng.uniform(-NBI_OFFSET_MAX, NBI_OFFSET_MAX)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        sigma_i = 0.0 if no_tone else np.sqrt(mean_power(y.samples) * 10.0 ** (-sir_db / 10.0))
-        unit = gen_nbi(NbiSpec(kind="ideal_tone", f_c=f, phase0=phi), len(y), y.origin, N_FFT)
-        tone = TimeSignal(sigma_i * unit.samples, origin=y.origin)
+        frame = _draw(sc, rng)  # CFO applied; no prefix, so `active` is the whole buffer
+        tone = calibrate_and_mix(frame.y, frame.nbi, level, frame.active, frame.noise,
+                                 powers=frame.powers).nbi_part
         if timing == "optimal":
             n = 0
         else:
             n = int(rng.integers(spec.symbol_len, (spec.n_symbols - 1) * spec.symbol_len + 1))
-        rec = decompose(y, tone, nu, n, N_FFT)
+        rec = decompose(frame.y, TimeSignal(tone, origin=frame.y.origin), 0.0, n, N_FFT)
         cross_pow[t] = abs(rec.g_cross) ** 2
         y_pow[t] = abs(rec.g_y) ** 2
         i_pow[t] = abs(rec.g_i) ** 2
     return CrossPowerStats(cross_pow=cross_pow, y_pow=y_pow, i_pow=i_pow)
-

@@ -6,10 +6,12 @@ import pytest
 from ncsync import (ChannelRealization, FrameSpec, SubcarrierMap, SymbolGrid,
                     TimeSignal, apply_multipath, build_frame, generate_preamble,
                     modulate_symbol, random_data_symbol)
+from ncsync import crossterm
 from ncsync.crossterm import (b_closed_form, b_direct, decompose,
                               g_cross_from_b, notched_map, q_cross_from_b,
                               relative_cross_power, tone_g, tone_q)
 from ncsync.metrics import compute_trace
+from ncsync.scenario import load
 
 N_FFT = 256
 N_CP = 32
@@ -172,6 +174,17 @@ def test_notched_map_widths():
         notched_map(N_FFT, 3)
     with pytest.raises(ValueError):
         notched_map(N_FFT, -2)
+
+
+def test_study_constants_are_those_of_the_preset_it_draws():
+    """The constants of the notch and the closed-form checks cannot drift
+    from the preset whose frames the notch study draws."""
+    sc = load(crossterm.STUDY_PRESET)
+    assert sc.name == "sync_error_ideal_tone"
+    assert (crossterm.N_FFT, crossterm.N_CP) == (sc.frame.n_fft, sc.frame.n_cp)
+    assert crossterm.NBI_CENTER == sc.nbi.f_c
+    assert crossterm.CFO_MAX == sc.cfo_max_norm
+    assert notched_map(crossterm.N_FFT, 42).occupied == sc.frame.smap.occupied
 
 
 def test_relative_cross_power_basics():

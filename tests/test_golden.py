@@ -50,7 +50,7 @@ GOLDEN = {
     "trace_pct_200/trace_percentiles.csv":
         "7835c69fdec08d5fef09c5f099e661662b4251b8d0e95aaf3ecc0912cd79ebab",
     "validate_appendix/notch_study.csv":
-        "b325440d7b53f8a101100efb0c079d84efedd1e8e5ab64dffa3787b52bd207ff",
+        "9e3abed720bd243165b729c78ccafb91df5e4ed3c4e09797b3be4cf196da3f42",
 }
 
 MC_PRESETS = ("sync_error_ideal_tone", "sync_error_fm_28k", "sync_error_wideband_fm")

@@ -84,6 +84,29 @@ def test_noiseless_cfo_readout_is_exact_over_the_open_range(main_spec, nu, seed)
     assert abs(np.angle(tr.g_nirs[i0]) / np.pi - nu) < 1e-10
 
 
+@settings(max_examples=250, deadline=None)
+@given(zero=st.sets(st.sampled_from(range(-128, 128, 4)), min_size=1),
+       two=st.sets(st.sampled_from(range(-126, 128, 4)), min_size=1),
+       odd=st.sets(st.sampled_from(range(-127, 128, 2))),
+       nu=st.floats(-0.7, 0.7), seed=st.integers(0, 2**32 - 1))
+def test_nirs_peak_is_fixed_by_the_even_class_balance(zero, two, odd, nu, seed):
+    """NIRS's blind spot, exactly: on a noiseless flat frame the metric at the
+    frame start is (2 min(E0, E2) / (E0 + E2))^2, with E0 and E2 the preamble
+    energy on even bins k = 0 and k = 2 (mod 4), at any CFO in the envelope."""
+    smap = SubcarrierMap(n_fft=N_FFT, occupied=tuple(zero | two | odd))
+    spec = FrameSpec(smap=smap, n_cp=32, n_symbols=2)
+    rng = np.random.default_rng(seed)
+    grid = SymbolGrid(spec)
+    grid.data[0] = generate_preamble(spec, rng)
+    grid.data[1] = random_data_symbol(spec, rng)
+    tr = compute_trace(apply_cfo(build_frame(grid), nu, N_FFT), N_FFT)
+    energy = np.abs(grid.data[0]) ** 2
+    k = np.arange(N_FFT) - N_FFT // 2
+    e0, e2 = energy[k % 4 == 0].sum(), energy[k % 4 == 2].sum()
+    (i0,) = np.flatnonzero(tr.n == 0)
+    assert abs(tr.metric_nirs[i0] - (2 * min(e0, e2) / (e0 + e2)) ** 2) < 1e-12
+
+
 def test_nirs_numerator_degenerate_q():
     assert nirs_numerator(5 + 2j, 0.0) == 5 + 2j
     rng = np.random.default_rng(17)

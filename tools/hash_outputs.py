@@ -13,12 +13,16 @@ directory and one line is printed per file (seed, scenario/file, SHA-256):
 - bandwidth_sweep.csv of nbi_bandwidth_sweep at --trials trials per cell;
 - trace_percentiles.csv of the trace_pct benchmark cell: sync_error_fm_28k
   at 20 dB SNR and 0 dB SIR over --frames frames;
-- trace.csv of the same cell's single frame at trial index 1.
+- trace.csv of the same cell's single frame at trial index 1;
+- notch_study.csv of `ncsync validate-appendix --trials T --grids 3 --seed S`,
+  at --trials trials per notch point and S = 1 (the command's default) for
+  `preset`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import sys
@@ -27,7 +31,7 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncsync import runner, scenario  # noqa: E402  (after the path fallback)
+from ncsync import cli, runner, scenario  # noqa: E402  (after the path fallback)
 
 RUN_PRESETS = ("quick_demo", "sync_error_ideal_tone", "sync_error_fm_28k",
                "sync_error_wideband_fm")
@@ -50,6 +54,14 @@ def outputs(seed: int | None, trials: int, frames: int, out: Path):
     for kw in ({"percentiles": True, "n_frames": frames}, {"trial": 1}):
         _, fname = runner.emit_trace(sc, snr_db, sir_db, out_dir=out / "trace_pct", **kw)
         yield f"trace_pct/{fname}", out / "trace_pct" / fname
+    name = "validate_appendix"
+    argv = ["validate-appendix", "--trials", str(trials), "--grids", "3",
+            "--seed", str(1 if seed is None else seed), "--out", str(out / name)]
+    with contextlib.redirect_stdout(sys.stderr):  # keep the hash lines clean
+        # Exit 1 is a failed self-check, likely at a few trials; the file is written.
+        if cli.main(argv) not in (0, 1):
+            raise RuntimeError(f"ncsync {' '.join(argv)} failed")
+    yield f"{name}/notch_study.csv", out / name / "notch_study.csv"
 
 
 def main(argv=None) -> int:
