@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -11,8 +12,7 @@ import numpy as np
 from .crossterm import (CFO_MAX, N_CP, N_FFT, NBI_CENTER, b_closed_form, b_direct,
                         decompose, g_cross_from_b, notched_map, q_cross_from_b,
                         relative_cross_power)
-from .impairments import (ChannelRealization, NbiSpec, apply_multipath, check_level_db,
-                          gen_nbi)
+from .impairments import ChannelRealization, NbiSpec, apply_multipath, gen_nbi
 from .ofdm import (FrameSpec, SymbolGrid, TimeSignal, build_frame,
                    generate_preamble, modulate_symbol, random_data_symbol)
 from .runner import emit_trace, run_nbi_bandwidth_sweep, run_scenario, write_csv
@@ -77,7 +77,8 @@ def _cmd_validate_appendix(args) -> int:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    check_level_db("--sir", args.sir)
+    if not math.isfinite(args.sir):  # at +inf there is no interferer to study
+        raise ValueError(f"--sir must be a finite number of dB, got {args.sir}")
     rng = np.random.default_rng(args.seed)
     smap = notched_map(N_FFT, 42)
     spec = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=1)

@@ -85,7 +85,7 @@ def ber_preamble(r: TimeSignal, syncs: list[SyncResult], h: np.ndarray,
         raise ValueError("no detections to demodulate")
     n_hat = np.array([[s.n_hat] for s in syncs])
     rate = np.array([[s.nu_hat * (-2.0 * np.pi / n_fft)] for s in syncs])  # rad per sample
-    phase = (n_hat + np.arange(float(n_fft))) * rate
+    phase = (n_hat + _ramp(n_fft)) * rate
     windows = np.empty(phase.shape, dtype=np.complex128)
     windows.real, windows.imag = np.cos(phase), np.sin(phase)
     for row, s in zip(windows, syncs):
@@ -113,6 +113,14 @@ def _roots_of_unity(n_fft: int) -> np.ndarray:
     return roots
 
 
+@functools.lru_cache(maxsize=16)
+def _ramp(n_fft: int) -> np.ndarray:
+    """0.0, 1.0, .., N - 1 as float64 (np.arange(float(N))), read-only."""
+    ramp = np.arange(float(n_fft))
+    ramp.flags.writeable = False
+    return ramp
+
+
 def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
     """Summarize a batch: error rate with a 95% Wald interval, MSEs, BER.
 
@@ -124,10 +132,14 @@ def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
     n = len(outcomes)
     errs = sum(1 for o in outcomes if o.is_sync_error)
     p = errs / n
-    ci = 1.96 * np.sqrt(p * (1.0 - p) / n)
-    mse_time = float(np.mean([o.timing_error ** 2 for o in outcomes]))
-    mse_freq = float(np.mean([o.cfo_error ** 2 for o in outcomes]))
+    ci = 1.96 * math.sqrt(p * (1.0 - p) / n)
+    # np.mean's own arithmetic without its wrapper: the squares (int64 for
+    # timing) reduced in float64 through the same buffered cast, then / n.
+    mse_time = float(np.add.reduce([o.timing_error ** 2 for o in outcomes], axis=None,
+                                   dtype=np.float64) / n)
+    mse_freq = float(np.add.reduce([o.cfo_error ** 2 for o in outcomes], axis=None,
+                                   dtype=np.float64) / n)
     bits = sum(o.bits_total for o in outcomes)
     ber = (sum(o.bit_errors for o in outcomes) / bits) if bits else 0.0
-    return AggregateStats(n_trials=n, p_sync_error=p, ci_halfwidth=float(ci),
+    return AggregateStats(n_trials=n, p_sync_error=p, ci_halfwidth=ci,
                           mse_time=mse_time, mse_freq=mse_freq, ber=float(ber))

@@ -118,7 +118,7 @@ def check_level_db(name: str, *values: float):
     and -inf (interference or noise without bound) have no meaning.
     """
     for value in values:
-        if np.isnan(value) or value == -np.inf:
+        if math.isnan(value) or value == -math.inf:
             raise ValueError(f"{name} must be a number of dB or +inf (term off), "
                              f"got {value}")
 
@@ -252,14 +252,14 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
     if not 0 < p_sig < math.inf:
         raise ValueError(f"signal power over the active region is {p_sig}, not > 0 and finite")
 
-    if np.isinf(mix.sir_db):
+    if math.isinf(mix.sir_db):
         sigma_i2 = 0.0
         nbi_part = np.zeros_like(sig)
     else:
         sigma_i2 = p_sig * 10.0 ** (-mix.sir_db / 10.0)
-        nbi_part = np.sqrt(sigma_i2) * nbi.samples
+        nbi_part = math.sqrt(sigma_i2) * nbi.samples
 
-    if np.isinf(mix.snr_db):
+    if math.isinf(mix.snr_db):
         sigma_w2 = 0.0
         noise_part = np.zeros_like(sig)
     else:
@@ -272,7 +272,7 @@ def calibrate_and_mix(y: TimeSignal, nbi: TimeSignal, mix: MixSpec, active: slic
         if not 0 < p_noise < math.inf:
             raise ValueError(f"noise power over the active region is {p_noise}, "
                              "not > 0 and finite")
-        noise_part = raw * np.sqrt(sigma_w2 / p_noise)
+        noise_part = raw * math.sqrt(sigma_w2 / p_noise)
 
     received = TimeSignal(sig + nbi_part, origin=y.origin)
     received.samples += noise_part

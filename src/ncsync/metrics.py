@@ -22,6 +22,7 @@ recursions as the per-sample operation-count model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,7 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
         raise ValueError(f"buffer of {s.size} samples is shorter than one window ({n_fft})")
     energy = s.real * s.real + s.imag * s.imag
     np.cumsum(energy, out=energy)
-    if not np.isfinite(energy[-1]) and not np.isfinite(s).all():
+    if not math.isfinite(energy[-1]) and not np.isfinite(s).all():
         u = int(np.argmin(np.isfinite(s)))
         raise ValueError(f"sample {u} (n = {u - r.origin}) is not finite: {s[u]}")
     m = _sliding_sum(energy, half)[half:]

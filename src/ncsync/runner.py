@@ -124,7 +124,8 @@ def _receive(sc: Scenario, snr_db: float, sir_db: float,
              rng: np.random.Generator | Realization) -> tuple[TimeSignal, Realization]:
     """A frame, or one `_draw`n from `rng`, mixed: (received, frame)."""
     frame = rng if isinstance(rng, Realization) else _draw(sc, rng)
-    if frame.nbi_of != sc.nbi:  # re-run the draw's interferer step for sc's interferer
+    # Re-run the draw's interferer step for sc's interferer; `is` spares the field compare.
+    if frame.nbi_of is not sc.nbi and frame.nbi_of != sc.nbi:
         replay = np.random.Generator(np.random.PCG64())
         replay.bit_generator.state = frame.nbi_state
         frame.nbi, frame.nbi_of = _interferer(sc, replay, frame.y), sc.nbi

@@ -63,6 +63,20 @@ def test_every_runner_span_is_called(tmp_path):
     assert [s for _, _, s in tracer.RUNNER_SPANS if not spans.calls[s]] == []
 
 
+def test_one_mix_and_trace_per_cell_trial_and_one_aggregate_per_cell_algorithm():
+    # The tracer's impairments.mix and metrics.trace figures are per trial and
+    # evaluate.aggregate's per cell: a plan that mixed or traced a frame twice
+    # in a cell, or aggregated a cell twice, would misstate them.
+    sc = load("sync_error_ideal_tone")
+    trials = 2
+    called = Counter()
+    with tracer.patched(counting_runner_spans(called)):
+        ncsync.runner.run_scenario(sc, trials=trials, seed=3)
+    n_cells = len(sc.snr_grid) * len(sc.sir_grid)
+    assert called["calibrate_and_mix"] == called["compute_trace"] == n_cells * trials
+    assert called["aggregate"] == n_cells * len(sc.algorithms)
+
+
 def test_recorder_sees_every_trial():
     sc = load("quick_demo")
     trials = 2

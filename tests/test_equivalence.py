@@ -23,9 +23,10 @@ from ncsync import (FrameSpec, MetricTrace, NoSignalError, SubcarrierMap, Symbol
                     SyncResult, TimeSignal, apply_cfo, build_frame, compute_trace, detect,
                     map_qpsk, modulate_symbol, random_data_symbol)
 from ncsync.detect import TIMING_RULES, _plateau_midpoint
-from ncsync.impairments import (COST207_TU_DELAYS_US, COST207_TU_POWERS_DB, NbiSpec,
-                                carson_deviation_hz, draw_channel_cost207tu, gen_nbi,
-                                mean_power)
+from ncsync.evaluate import AggregateStats, TrialOutcome, aggregate
+from ncsync.impairments import (COST207_TU_DELAYS_US, COST207_TU_POWERS_DB, MixResult,
+                                MixSpec, NbiSpec, calibrate_and_mix, carson_deviation_hz,
+                                check_level_db, draw_channel_cost207tu, gen_nbi, mean_power)
 from ncsync.runner import (_frame_percentiles, _receive, emit_trace, run_trial,
                            trial_rng, write_csv)
 from ncsync.scenario import load, preset_names
@@ -591,3 +592,131 @@ def test_gen_nbi_equals_the_frozen_one(spec, length, origin, n_fft, seed, with_r
     assert got.samples.tobytes() == want.samples.tobytes()
     if with_rng:
         assert rng.bit_generator.state == frozen_rng.bit_generator.state
+
+
+# Frozen copies of the per-cell scalar steps from before their single numbers
+# left numpy (math.isnan/isinf/sqrt, np.add.reduce in place of np.mean).
+
+
+def frozen_check_level_db(name, *values):
+    for value in values:
+        if np.isnan(value) or value == -np.inf:
+            raise ValueError(f"{name} must be a number of dB or +inf (term off), "
+                             f"got {value}")
+
+
+def frozen_calibrate_and_mix(y, nbi, mix, active, noise, *, powers=None):
+    if len(nbi) != len(y) or nbi.origin != y.origin:
+        raise ValueError("nbi buffer must match y in length and origin")
+    if noise.shape != y.samples.shape:
+        raise ValueError("noise draw must match y in length")
+    sig = y.samples
+    p_sig = mean_power(sig[active]) if powers is None else powers[0]
+    if not 0 < p_sig < math.inf:
+        raise ValueError(f"signal power over the active region is {p_sig}, not > 0 and finite")
+    if np.isinf(mix.sir_db):
+        sigma_i2 = 0.0
+        nbi_part = np.zeros_like(sig)
+    else:
+        sigma_i2 = p_sig * 10.0 ** (-mix.sir_db / 10.0)
+        nbi_part = np.sqrt(sigma_i2) * nbi.samples
+    if np.isinf(mix.snr_db):
+        sigma_w2 = 0.0
+        noise_part = np.zeros_like(sig)
+    else:
+        sigma_w2 = p_sig * 10.0 ** (-mix.snr_db / 10.0)
+        p_noise = mean_power(noise[active]) if powers is None else powers[1]
+        if not 0 < p_noise < math.inf:
+            raise ValueError(f"noise power over the active region is {p_noise}, "
+                             "not > 0 and finite")
+        noise_part = noise * np.sqrt(sigma_w2 / p_noise)
+    received = TimeSignal(sig + nbi_part, origin=y.origin)
+    received.samples += noise_part
+    return MixResult(received, nbi_part, noise_part, sigma_i2, sigma_w2)
+
+
+def frozen_aggregate(outcomes):
+    if not outcomes:
+        raise ValueError("cannot aggregate an empty list of outcomes")
+    n = len(outcomes)
+    errs = sum(1 for o in outcomes if o.is_sync_error)
+    p = errs / n
+    ci = 1.96 * np.sqrt(p * (1.0 - p) / n)
+    mse_time = float(np.mean([o.timing_error ** 2 for o in outcomes]))
+    mse_freq = float(np.mean([o.cfo_error ** 2 for o in outcomes]))
+    bits = sum(o.bits_total for o in outcomes)
+    ber = (sum(o.bit_errors for o in outcomes) / bits) if bits else 0.0
+    return AggregateStats(n_trials=n, p_sync_error=p, ci_halfwidth=float(ci),
+                          mse_time=mse_time, mse_freq=mse_freq, ber=float(ber))
+
+
+def exact_fields(obj):
+    """A dataclass's fields as (type, value) with floats by their bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in (getattr(obj, f) for f in obj.__dataclass_fields__)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20_000), st.sampled_from([0, 1, 256, 4051, 8192, 419_994]),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@example(8192, 4051, 0.1, 0)  # one full cast buffer of numpy's float64 reduce
+@example(8193, 8192, 0.5, 1)  # one element into the second
+@example(20_000, 419_994, 1.0, 2)
+@example(1, 0, 0.0, 3)
+def test_aggregate_equals_the_frozen_one(n, max_timing, p_err, seed):
+    # Timing errors up to a capture's length, so their int64 squares reach
+    # ~1.8e11; CFO errors of 1 down to subnormals (and squares that underflow).
+    rng = np.random.default_rng(seed)
+    timing = rng.integers(-max_timing, max_timing, n, endpoint=True).tolist()
+    cfo = (rng.standard_normal(n) * 10.0 ** rng.uniform(-330.0, 0.0, n)).tolist()
+    bits = int(rng.integers(0, 3)) * 200
+    errors = rng.integers(0, bits, n, endpoint=True).tolist()
+    outcomes = [TrialOutcome(t, c, bool(e), b, bits)
+                for t, c, e, b in zip(timing, cfo, rng.random(n) < p_err, errors)]
+    assert exact_fields(aggregate(outcomes)) == exact_fields(frozen_aggregate(outcomes))
+
+
+levels = st.one_of(st.floats(-80.0, 80.0), st.just(math.inf))
+
+
+@FROZEN
+@given(st.integers(1, 300), st.data(), levels, levels, st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(10, None, math.inf, math.inf, False, False, 0)
+def test_calibrate_and_mix_equals_the_frozen_one(size, data, snr_db, sir_db, numpy_levels,
+                                                 given_powers, seed):
+    rng = np.random.default_rng(seed)
+    start = 0 if data is None else data.draw(st.integers(0, size - 1))
+    origin = int(rng.integers(-size, size))
+    y = TimeSignal(rng.standard_normal(2 * size).view(np.complex128), origin)
+    nbi = gen_nbi(NbiSpec("ideal_tone", f_c=rng.uniform(-5, 5)), size, origin, 8)
+    noise = rng.standard_normal(2 * size).view(np.complex128)
+    active = slice(start, None)
+    if numpy_levels:
+        snr_db, sir_db = np.float64(snr_db), np.float64(sir_db)
+    kwargs = {"powers": (mean_power(y.samples[active]), mean_power(noise[active]))
+              } if given_powers else {}
+    got = calibrate_and_mix(y, nbi, MixSpec(snr_db, sir_db), active, noise, **kwargs)
+    want = frozen_calibrate_and_mix(y, nbi, MixSpec(snr_db, sir_db), active, noise,
+                                    **kwargs)
+    assert got.received.origin == want.received.origin
+    for part in ("nbi_part", "noise_part"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    assert got.received.samples.tobytes() == want.received.samples.tobytes()
+    assert [(type(v), np.float64(v).tobytes()) for v in (got.sigma_i2, got.sigma_w2)] == \
+        [(type(v), np.float64(v).tobytes()) for v in (want.sigma_i2, want.sigma_w2)]
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.inf, np.float64("nan"), np.float64(-np.inf), np.float32("nan"),
+    np.float32(-np.inf), 0.0, -1e308, math.inf, np.float64(np.inf), np.float32(3),
+    -5])
+def test_check_level_db_says_what_the_frozen_one_says(value):
+    try:
+        frozen_check_level_db("sir_db", 1.0, value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            check_level_db("sir_db", 1.0, value)
+        assert str(got.value) == str(exc)
+    else:
+        check_level_db("sir_db", 1.0, value)
