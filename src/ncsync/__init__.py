@@ -17,17 +17,17 @@ from .ofdm import (FrameSpec, SubcarrierMap, SymbolGrid, TimeSignal,
                    generate_preamble, map_qpsk, modulate_symbol,
                    preamble_from_bits, random_data_symbol)
 from .scenario import Scenario, ScenarioError, load
-from .streaming import (ChunkCorrelator, OpCounters, SlidingCorrelator, count_report,
+from .streaming import (ChunkCorrelator, OpCounters, count_report, trace_from_recursions,
                         trace_from_stream)
 
 __all__ = [
     "ChannelRealization", "ChunkCorrelator", "FrameSpec", "MetricTrace", "MixSpec", "NbiSpec",
     "NoSignalError", "OpCounters", "Scenario", "ScenarioError",
-    "SlidingCorrelator", "SubcarrierMap", "SymbolGrid", "SyncResult",
+    "SubcarrierMap", "SymbolGrid", "SyncResult",
     "TimeSignal", "UnsatisfiablePreambleError", "apply_cfo", "apply_multipath",
     "build_frame", "calibrate_and_mix", "compute_trace", "count_report",
     "demap_qpsk", "detect", "draw_channel_cost207tu", "gen_nbi",
     "generate_preamble", "load", "map_qpsk", "modulate_symbol",
     "nirs_numerator", "preamble_from_bits", "random_data_symbol",
-    "trace_from_stream",
+    "trace_from_recursions", "trace_from_stream",
 ]

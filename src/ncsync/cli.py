@@ -5,19 +5,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .crossterm import (CFO_MAX, N_CP, N_FFT, NBI_CENTER, b_closed_form, b_direct,
-                        decompose, g_cross_from_b, notched_map, q_cross_from_b,
-                        relative_cross_power)
+from .crossterm import (STUDY_PRESET, b_closed_form, b_direct, decompose, g_cross_from_b,
+                        q_cross_from_b, relative_cross_power)
 from .impairments import ChannelRealization, NbiSpec, apply_multipath, gen_nbi
-from .ofdm import (FrameSpec, SymbolGrid, TimeSignal, build_frame,
-                   generate_preamble, modulate_symbol, random_data_symbol)
+from .ofdm import (SymbolGrid, TimeSignal, build_frame, generate_preamble, modulate_symbol,
+                   random_data_symbol)
 from .runner import emit_trace, run_nbi_bandwidth_sweep, run_scenario, write_csv
 from .scenario import ScenarioError, load
-from .streaming import COST_PER_SAMPLE, SlidingCorrelator, count_report
+from .streaming import COST_PER_SAMPLE, count_report, trace_from_recursions
 
 
 def _cmd_run(args) -> int:
@@ -56,14 +56,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_count_ops(args) -> int:
     # The tallies depend on the window count only, never on the sample values.
     samples = np.random.default_rng(0).standard_normal(2 * (1000 + 256))
+    r = TimeSignal(samples.view(np.complex128), origin=0)
     print("per-sample real-operation averages over 1000 counted samples (N = 256):")
     print(f"{'algorithm':<10} {'add/sub':>8} {'mul/div':>8} {'sqrt':>6}")
     ok = True
     for mode in ("sc", "nirs"):
-        corr = SlidingCorrelator(256, mode=mode)
-        for s in samples.view(np.complex128):
-            corr.push(s)
-        adds, muls, sqrts = count_report(corr.ops, corr.counted_steps)
+        _, ops, counted = trace_from_recursions(r, 256, mode=mode)
+        adds, muls, sqrts = count_report(ops, counted)
         print(f"{mode:<10} {adds:>8.3f} {muls:>8.3f} {sqrts:>6.3f}")
         ok &= (adds, muls, sqrts) == tuple(float(c) for c in COST_PER_SAMPLE[mode])
     print("cost table check:", "ok" if ok else "MISMATCH")
@@ -80,20 +79,21 @@ def _cmd_validate_appendix(args) -> int:
     if not math.isfinite(args.sir):  # at +inf there is no interferer to study
         raise ValueError(f"--sir must be a finite number of dB, got {args.sir}")
     rng = np.random.default_rng(args.seed)
-    smap = notched_map(N_FFT, 42)
-    spec = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=1)
+    study = load(STUDY_PRESET)
+    n_fft, n_cp = study.frame.n_fft, study.frame.n_cp
+    spec = replace(study.frame, n_symbols=1, n_empty_prefix=0)
     failures = 0
 
     # Closed-form agreement over all three window cases.
     worst = 0.0
     for _ in range(args.grids):
         col = generate_preamble(spec, rng)
-        y = TimeSignal(np.pad(modulate_symbol(col, spec).samples, N_FFT),
-                       origin=N_FFT + N_CP)
-        f = NBI_CENTER + rng.uniform(-1, 1)
-        nu = rng.uniform(-CFO_MAX, CFO_MAX)
-        for n in rng.integers(-N_FFT // 2 - N_CP + 1, N_FFT, size=12):
-            bd = b_direct(y, f, nu, int(n), N_FFT)
+        y = TimeSignal(np.pad(modulate_symbol(col, spec).samples, n_fft),
+                       origin=n_fft + n_cp)
+        f = study.nbi.f_c + rng.uniform(-1, 1)
+        nu = rng.uniform(-study.cfo_max_norm, study.cfo_max_norm)
+        for n in rng.integers(-n_fft // 2 - n_cp + 1, n_fft, size=12):
+            bd = b_direct(y, f, nu, int(n), n_fft)
             bc = b_closed_form(col, f, nu, int(n), spec)
             worst = max(worst, abs(bd - bc) / max(1.0, abs(bd)))
     status = "PASS" if worst < 1e-9 else "FAIL"
@@ -103,23 +103,23 @@ def _cmd_validate_appendix(args) -> int:
 
     # Exact decomposition of G and Q over signal + tone mixtures.
     worst = 0.0
-    spec_m = FrameSpec(smap=smap, n_cp=N_CP, n_symbols=4)
+    spec_m = replace(study.frame, n_symbols=4, n_empty_prefix=0)
     for _ in range(args.grids):
         grid = SymbolGrid(spec_m)
         grid.data[0] = generate_preamble(spec_m, rng)
         grid.data[1:] = random_data_symbol(spec_m, rng, spec_m.n_symbols - 1)
         taps = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / 3.0
         y = apply_multipath(build_frame(grid), ChannelRealization(taps))
-        nu = rng.uniform(-CFO_MAX, CFO_MAX)
-        f = NBI_CENTER + rng.uniform(-1, 1)
+        nu = rng.uniform(-study.cfo_max_norm, study.cfo_max_norm)
+        f = study.nbi.f_c + rng.uniform(-1, 1)
         phi = rng.uniform(0, 2 * np.pi)
         sigma_i = rng.uniform(0.2, 2.0)
-        unit = gen_nbi(NbiSpec(kind="ideal_tone", f_c=f, phase0=phi), len(y), y.origin, N_FFT)
+        unit = gen_nbi(NbiSpec(kind="ideal_tone", f_c=f, phase0=phi), len(y), y.origin, n_fft)
         tone = TimeSignal(sigma_i * unit.samples, origin=y.origin)
         n = int(rng.integers(0, (spec_m.n_symbols - 1) * spec_m.symbol_len))
-        rec = decompose(y, tone, nu, n, N_FFT)
-        gc = g_cross_from_b(y, f, nu, sigma_i, phi, n, N_FFT)
-        qc = q_cross_from_b(y, f, nu, sigma_i, phi, n, N_FFT)
+        rec = decompose(y, tone, nu, n, n_fft)
+        gc = g_cross_from_b(y, f, nu, sigma_i, phi, n, n_fft)
+        qc = q_cross_from_b(y, f, nu, sigma_i, phi, n, n_fft)
         worst = max(worst,
                     abs(gc - rec.g_cross) / max(1.0, abs(rec.g_cross)),
                     abs(qc - rec.q_cross) / max(1.0, abs(rec.q_cross)))

@@ -28,14 +28,11 @@ from .scenario import load
 
 TIMING_POSITIONS = ("optimal", "random_data")
 
-# The notch study draws STUDY_PRESET's frames on a notched map.  N_FFT, N_CP,
-# NBI_CENTER (where the notch is centred) and CFO_MAX (in spacings) repeat
-# that preset's values for `notched_map` and the closed-form checks; a test
-# holds them equal.  Bootstrap intervals take N_BOOT resamples at CI_LEVEL.
+# The notch study draws STUDY_PRESET's frames on a notched map centred on that
+# preset's interferer, and the closed-form checks take their geometry, tone
+# and CFO bound from the same preset.  Bootstrap intervals take N_BOOT
+# resamples at CI_LEVEL.
 STUDY_PRESET = "sync_error_ideal_tone"
-N_FFT, N_CP = 256, 32
-NBI_CENTER = 24.5
-CFO_MAX = 0.7
 N_BOOT, CI_LEVEL = 500, 0.95
 
 # A bin is treated as singular (limit form) when k - f + nu is within this
@@ -186,21 +183,22 @@ def q_cross_from_b(y: TimeSignal, f: float, nu: float, sigma_i: float,
                       + (bq + bh) * np.exp(-1j * phi)))
 
 
-def notched_map(n_fft: int = N_FFT, notch_scs: int = 0) -> SubcarrierMap:
-    """Map with bins {-100..-1, 1..100} minus a notch around the interferer.
+def notched_map(notch_scs: int = 0) -> SubcarrierMap:
+    """STUDY_PRESET's bins {-100..-1, 1..100} minus a notch around its interferer.
 
     notch_scs is the full notch width in subcarriers (even, so it brackets
-    the half-integer center symmetrically); 42 reproduces the main scenario's
+    the half-integer center symmetrically); 42 reproduces the preset's
     occupied set.
     """
     if notch_scs < 0 or notch_scs % 2 != 0:
         raise ValueError(f"notch width must be even and >= 0, got {notch_scs}")
+    sc = load(STUDY_PRESET)
     base = [k for k in range(-100, 101) if k != 0]
     if notch_scs:
-        lo = int(np.ceil(NBI_CENTER)) - notch_scs // 2
-        hi = int(np.floor(NBI_CENTER)) + notch_scs // 2
+        lo = int(np.ceil(sc.nbi.f_c)) - notch_scs // 2
+        hi = int(np.floor(sc.nbi.f_c)) + notch_scs // 2
         base = [k for k in base if not (lo <= k <= hi)]
-    return SubcarrierMap(n_fft=n_fft, occupied=tuple(base))
+    return SubcarrierMap(n_fft=sc.frame.n_fft, occupied=tuple(base))
 
 
 @dataclass
@@ -245,8 +243,7 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
         raise ValueError("n_trials must be >= 1")
     level = MixSpec(np.inf, sir_db)  # rejects a NaN or -inf SIR
     sc = load(STUDY_PRESET)
-    sc = replace(sc, frame=replace(sc.frame, smap=notched_map(N_FFT, notch_scs),
-                                   n_empty_prefix=0))
+    sc = replace(sc, frame=replace(sc.frame, smap=notched_map(notch_scs), n_empty_prefix=0))
     spec = sc.frame
 
     cross_pow = np.empty(n_trials)
@@ -260,7 +257,7 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
             n = 0
         else:
             n = int(rng.integers(spec.symbol_len, (spec.n_symbols - 1) * spec.symbol_len + 1))
-        rec = decompose(frame.y, TimeSignal(tone, origin=frame.y.origin), 0.0, n, N_FFT)
+        rec = decompose(frame.y, TimeSignal(tone, origin=frame.y.origin), 0.0, n, spec.n_fft)
         cross_pow[t] = abs(rec.g_cross) ** 2
         y_pow[t] = abs(rec.g_y) ** 2
         i_pow[t] = abs(rec.g_i) ** 2

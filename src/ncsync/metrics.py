@@ -16,8 +16,8 @@ and the CFO estimate at the detected peak is arg(numerator)/pi subcarrier
 spacings.
 
 This module computes whole traces at once with cumulative sums.  streaming.py
-runs this kernel over a stream chunk by chunk, and keeps the sample-at-a-time
-recursions as the per-sample operation-count model.
+runs this kernel over a stream chunk by chunk, and runs the sample-at-a-time
+recursions from a zero state as the per-sample op-count model.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Streaming correlators: a chunk engine and the per-sample operation-count model.
+"""Streaming correlation: a chunk engine and the per-sample operation-count model.
 
 ChunkCorrelator is the engine a receiver runs.  Each push(chunk) joins the
 last N - 1 samples of the stream to the chunk and evaluates every window the
 chunk completes with metrics.compute_trace, so streamed windows carry the
 batch kernel's arithmetic and the stream's sample indices.
 
-SlidingCorrelator is the paper's hardware cost model.  From a zero state (the
-stream reads as zero before its first sample) it advances one sample at a
-time by retiring one term and admitting one term per quantity:
+trace_from_recursions is the paper's hardware cost model.  From a zero state
+(the stream reads as zero before its first sample) it advances one sample at
+a time by retiring one term and admitting one term per quantity:
 
   G(n) = G(n-1) - p_g(n-1)            + p_g(n-1+N/2)
   M(n) = M(n-1) - |r(n-1+N/2)|^2      + |r(n-1+N)|^2
@@ -18,20 +18,18 @@ and interior terms come from product delay lines, so each step performs exactly
 one new complex multiply per product stream.  Real-operation counters tick at
 the sites where that arithmetic happens; the totals per counted step are the
 per-sample hardware cost of each algorithm (plain correlator: 10 add/sub,
-10 mul/div; interference-hardened: 24, 24, plus one square root).
-ChunkCorrelator reports the same counters from that model.
+10 mul/div; interference-hardened: 24, 24, plus one square root), and
+COST_PER_SAMPLE tabulates them for callers that need the counts only.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MODES, MetricTrace, compute_trace
+from .metrics import MODES, MetricTrace, _safe_ratio_sq, compute_trace
 from .ofdm import TimeSignal, check_n_fft
 
 # Real-operation cost per counted step, keyed by mode:
@@ -72,127 +70,99 @@ def _check_config(n_fft: int, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def _non_finite(index: int, value) -> ValueError:
-    return ValueError(f"stream sample {index} is not finite: {value}")
-
-
 def _check_finite(x: np.ndarray, start: int) -> None:
     """Raise naming the stream index of x's first non-finite sample (x[0] at start)."""
     finite = np.isfinite(x)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise _non_finite(start + k, x[k])
+        raise ValueError(f"stream sample {start + k} is not finite: {x[k]}")
 
 
-@dataclass
-class StepResult:
-    """One emitted window: start index (stream coordinates) and metrics."""
+def trace_from_recursions(r: TimeSignal, n_fft: int, mode: str = "nirs"
+                          ) -> tuple[MetricTrace, OpCounters, int]:
+    """Run the per-sample cost model over a whole buffer.
 
-    window_start: int
-    g: complex
-    m: float
-    metric: float
-    q: complex | None = None
-    g_nirs: complex | None = None
-
-
-class SlidingCorrelator:
-    """Streaming correlator: push samples in, get one window result per push.
-
-    The state starts from zero, as if the stream read zero before its first
-    sample, and every push advances it with the O(1) recursions.  The N-th
-    push emits the window at stream index 0, uncounted; every later push
-    emits the next window and ticks the operation counters.  mode "sc"
+    The state starts from zero and takes one O(1) step per sample; window 0
+    is emitted free and every later window is one counted step.  mode "sc"
     maintains only G and M; mode "nirs" adds the quarter-lag probe and the
-    cancellation step.  State is a handful of scalars and four short delay
-    lines, so an idle instance is cheap to hold or hand off.
+    cancellation step, and its metric_sc is read off G and M after the
+    counted loop.  Returns the trace, the counters and the number of counted
+    steps, as trace_from_stream does.  A non-finite sample, which would stay
+    in the running sums for good, raises ValueError naming its stream index
+    (its position in the buffer) before any step.
     """
+    _check_config(n_fft, mode)
+    x = r.samples
+    _check_finite(x, 0)
+    if x.size < n_fft:
+        raise ValueError(f"buffer of {x.size} samples is shorter than one window ({n_fft})")
+    half, quarter = n_fft // 2, n_fft // 4
+    nirs = mode == "nirs"
+    ops, free = OpCounters(), OpCounters()  # free: filling the window and emitting window 0
+    s = [0j] * half + x.tolist()  # r(t) is s[t + half]
+    # Zero-filled delay lines: the product of step t sits at [t + length].
+    dl_g = [0j] * half  # p_g
+    dl_e = [0.0] * half  # energies
+    dl_q = [0j] * (3 * quarter)  # p_q
+    g = q = 0j
+    m = 0.0
+    gs, ms, qs, nums, metrics = [], [], [], [], []
+    for t in range(x.size):
+        tally = (ops if t >= n_fft else free).tally
+        s_t = s[t + half]
 
-    def __init__(self, n_fft: int, mode: str = "nirs"):
-        _check_config(n_fft, mode)
-        self.n_fft = n_fft
-        self.half = n_fft // 2
-        self.quarter = n_fft // 4
-        self.mode = mode
-        self.ops = OpCounters()
-        self.counted_steps = 0
-        self._n_pushed = 0
-        # Zero-filled delay lines; each append retires the element at [0].
-        self._samples = deque([0j] * self.half, self.half)  # r over [t-half, t)
-        self._dl_g = deque([0j] * self.half, self.half)  # p_g over [n, n+half)
-        self._dl_e = deque([0.0] * self.half, self.half)  # energies over [n+half, n+N)
-        self._dl_q = deque([0j] * (3 * self.quarter), 3 * self.quarter)  # p_q over [n, n+3N/4)
-        self._g = 0j
-        self._m = 0.0
-        self._q = 0j
-
-    def push(self, sample: complex) -> StepResult | None:
-        """Feed one sample; returns a StepResult once N samples are buffered.
-
-        A non-finite sample would stay in the running sums for good, so it
-        raises ValueError naming its stream index and leaves the state as it
-        was.
-        """
-        sample = complex(sample)
-        if not cmath.isfinite(sample):
-            raise _non_finite(self._n_pushed, sample)
-        self._n_pushed += 1
-        window_start = self._n_pushed - self.n_fft
-        # Filling the window and emitting window 0 are free.
-        ops = self.ops if window_start > 0 else OpCounters()
-        self.counted_steps += window_start > 0
-        self._step(sample, ops)
-        return None if window_start < 0 else self._emit(window_start, ops)
-
-    def _step(self, s_t: complex, ops: OpCounters) -> None:
-        s_lag_half = self._samples[0]
-        s_lag_quarter = self._samples[self.quarter]
-        self._samples.append(s_t)
-
-        new_gp = s_lag_half.conjugate() * s_t
-        ops.tally(add=2, mul=4)
-        self._g = self._g - self._dl_g[0] + new_gp
-        self._dl_g.append(new_gp)
-        ops.tally(add=4)
+        new_gp = s[t].conjugate() * s_t
+        tally(add=2, mul=4)
+        g = g - dl_g[t] + new_gp
+        dl_g.append(new_gp)
+        tally(add=4)
 
         new_e = s_t.real * s_t.real + s_t.imag * s_t.imag
-        ops.tally(add=1, mul=2)
-        self._m = self._m - self._dl_e[0] + new_e
-        self._dl_e.append(new_e)
-        ops.tally(add=2)
+        tally(add=1, mul=2)
+        m = m - dl_e[t] + new_e
+        dl_e.append(new_e)
+        tally(add=2)
 
-        if self.mode == "nirs":
-            new_qp = s_lag_quarter.conjugate() * s_t
-            ops.tally(add=2, mul=4)
-            dl_q = self._dl_q
-            self._q = self._q + 0.5 * ((new_qp - dl_q[0])
-                                       + (dl_q[2 * self.quarter] - dl_q[self.quarter]))
+        if nirs:
+            new_qp = s[t + quarter].conjugate() * s_t
+            tally(add=2, mul=4)
+            q = q + 0.5 * ((new_qp - dl_q[t]) + (dl_q[t + 2 * quarter] - dl_q[t + quarter]))
             dl_q.append(new_qp)
-            ops.tally(add=8, mul=2)
+            tally(add=8, mul=2)
 
-    def _emit(self, window_start: int, ops: OpCounters) -> StepResult:
-        g, m = self._g, self._m
-        if self.mode == "nirs":
-            q = self._q
+        if t < n_fft - 1:
+            continue
+        # Emit window t - N + 1.
+        if nirs:
             qsq = q * q
-            ops.tally(add=1, mul=4)
+            tally(add=1, mul=4)
             qmag = math.sqrt(q.real * q.real + q.imag * q.imag)
-            ops.tally(add=1, mul=2, sqrt=1)
-            ops.tally(mul=2)  # the two divisions in Q^2 / |Q|
-            corr = qsq / qmag if qmag > 0 else 0.0
-            num = g - corr
-            ops.tally(add=2)
+            tally(add=1, mul=2, sqrt=1)
+            tally(mul=2)  # the two divisions in Q^2 / |Q|
+            num = g - (qsq / qmag if qmag > 0 else 0.0)
+            tally(add=2)
+            qs.append(q)
+            nums.append(num)
         else:
-            q = None
             num = g
         numsq = num.real * num.real + num.imag * num.imag
-        ops.tally(add=1, mul=2)
+        tally(add=1, mul=2)
         msq = m * m
-        ops.tally(mul=1)
-        ops.tally(mul=1)  # the metric division
-        metric = numsq / msq if m > 0 else 0.0
-        return StepResult(window_start=window_start, g=g, m=m, metric=metric,
-                          q=q, g_nirs=None if q is None else num)
+        tally(mul=1)
+        tally(mul=1)  # the metric division
+        metrics.append(numsq / msq if m > 0 else 0.0)
+        gs.append(g)
+        ms.append(m)
+
+    n_windows = len(gs)
+    n = np.arange(-r.origin, n_windows - r.origin)
+    g, m, metric = np.array(gs), np.array(ms), np.array(metrics)
+    if nirs:
+        trace = MetricTrace(n=n, g=g, m=m, metric_sc=_safe_ratio_sq(g, m * m, m > 0),
+                            q=np.array(qs), g_nirs=np.array(nums), metric_nirs=metric)
+    else:
+        trace = MetricTrace(n=n, g=g, m=m, metric_sc=metric)
+    return trace, ops, n_windows - 1
 
 
 class ChunkCorrelator:
@@ -203,8 +173,7 @@ class ChunkCorrelator:
     while fewer than N samples have arrived.  The last N - 1 samples carry
     over to the next push, so the traces of any chunking, concatenated, hold
     every window once and in order.  mode "sc" computes only the plain
-    correlator's fields.  The counters are SlidingCorrelator's: the first
-    window is free and each later one costs COST_PER_SAMPLE[mode].
+    correlator's fields.
     """
 
     def __init__(self, n_fft: int, mode: str = "nirs"):
@@ -213,14 +182,6 @@ class ChunkCorrelator:
         self.mode = mode
         self._tail = np.empty(0, dtype=np.complex128)  # last N - 1 samples at most
         self._n_pushed = 0
-
-    @property
-    def counted_steps(self) -> int:
-        return max(0, self._n_pushed - self.n_fft)
-
-    @property
-    def ops(self) -> OpCounters:
-        return model_counters(self.mode, self.counted_steps)
 
     def push(self, chunk) -> MetricTrace | None:
         """Feed a 1-D chunk; returns the windows it completes, if any.
@@ -249,12 +210,13 @@ def trace_from_stream(r: TimeSignal, n_fft: int, mode: str = "nirs"
     """Run the streaming engine over a whole buffer in one push.
 
     Returns metrics.compute_trace's output for the buffer (the NIRS fields
-    left None for mode "sc"), the model's counters, and the number of
+    left None for mode "sc"), the cost model's counters for it (window 0
+    free, each later window COST_PER_SAMPLE[mode]), and the number of
     counted steps.
     """
-    corr = ChunkCorrelator(n_fft, mode=mode)
-    trace = corr.push(r.samples)
+    trace = ChunkCorrelator(n_fft, mode=mode).push(r.samples)
     if trace is None:
         raise ValueError(f"buffer of {len(r)} samples is shorter than one window ({n_fft})")
     trace.n -= r.origin
-    return trace, corr.ops, corr.counted_steps
+    counted = len(trace) - 1
+    return trace, model_counters(mode, counted), counted

@@ -20,7 +20,7 @@ from ncsync.evaluate import aggregate
 from ncsync.metrics import compute_trace
 from ncsync.runner import run_cell, run_nbi_bandwidth_sweep, run_scenario
 from ncsync.scenario import load
-from ncsync.streaming import COST_PER_SAMPLE, SlidingCorrelator, count_report
+from ncsync.streaming import COST_PER_SAMPLE, count_report, trace_from_recursions
 from ncsync.cli import main as cli_main  # noqa: F401  (import sanity)
 
 N_FFT = 256
@@ -124,11 +124,10 @@ def test_criterion_03_plateau_law(capsys):
 
 def test_criterion_04_streaming_equals_direct(capsys):
     """O(1) recursions reproduce the direct correlation sums."""
-    from ncsync.streaming import trace_from_stream
     rng = np.random.default_rng(20004)
     t0 = time.perf_counter()
     r = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    tr, _, _ = trace_from_stream(TimeSignal(r, 0), N_FFT, mode="nirs")
+    tr, _, _ = trace_from_recursions(TimeSignal(r, 0), N_FFT, mode="nirs")
     g, m, q = _direct_gmq(r, N_FFT)
     worst = max(float(np.max(np.abs(tr.g - g))),
                 float(np.max(np.abs(tr.m - m))),
@@ -136,7 +135,7 @@ def test_criterion_04_streaming_equals_direct(capsys):
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 * N_FFT and dt < 1.0
     _report(capsys, 4, ok,
-            f"max |streaming - direct| = {worst:.2e} over 10^3 samples "
+            f"max |recursions - direct| = {worst:.2e} over 10^3 samples "
             f"(bound {1e-9 * N_FFT:.2e}), {dt:.2f} s")
     assert worst < 1e-9 * N_FFT
     assert dt < 1.0
@@ -150,12 +149,11 @@ def test_criterion_05_operation_counts(capsys):
     ok = True
     for mode in ("sc", "nirs"):
         for n_counted in (100, 257, 1000):
-            corr = SlidingCorrelator(N_FFT, mode=mode)
-            for s in (rng.standard_normal(N_FFT + n_counted)
-                      + 1j * rng.standard_normal(N_FFT + n_counted)):
-                corr.push(s)
-            assert corr.counted_steps == n_counted
-            rep = count_report(corr.ops, corr.counted_steps)
+            r = (rng.standard_normal(N_FFT + n_counted)
+                 + 1j * rng.standard_normal(N_FFT + n_counted))
+            _, ops, counted = trace_from_recursions(TimeSignal(r, 0), N_FFT, mode=mode)
+            assert counted == n_counted
+            rep = count_report(ops, counted)
             ok &= rep == tuple(float(c) for c in COST_PER_SAMPLE[mode])
             reports[mode] = rep
     dt = time.perf_counter() - t0
@@ -169,7 +167,7 @@ def test_criterion_06_closed_form_window_transform(capsys):
     """Closed-form single-symbol correlation matches brute force everywhere."""
     rng = np.random.default_rng(20006)
     t0 = time.perf_counter()
-    spec = FrameSpec(smap=notched_map(N_FFT, 42), n_cp=32, n_symbols=1)
+    spec = FrameSpec(smap=notched_map(42), n_cp=32, n_symbols=1)
     pad = N_FFT
     worst = 0.0
     for _ in range(20):
@@ -210,7 +208,7 @@ def test_criterion_07_decomposition_identities(capsys):
     """G and Q split exactly into signal, interferer, and cross parts."""
     rng = np.random.default_rng(20007)
     t0 = time.perf_counter()
-    spec = FrameSpec(smap=notched_map(N_FFT, 42), n_cp=32, n_symbols=4)
+    spec = FrameSpec(smap=notched_map(42), n_cp=32, n_symbols=4)
     worst = 0.0
     for _ in range(100):
         grid = SymbolGrid(spec)

@@ -28,7 +28,7 @@ def padded_symbol(column, spec, pad=N_FFT):
 
 @pytest.fixture(scope="module")
 def notch_spec():
-    return FrameSpec(smap=notched_map(N_FFT, 42), n_cp=N_CP, n_symbols=1)
+    return FrameSpec(smap=notched_map(42), n_cp=N_CP, n_symbols=1)
 
 
 def rel_err(a, b):
@@ -164,27 +164,18 @@ def test_decomposition_sums_to_the_full_correlations(notch_spec):
 
 
 def test_notched_map_widths():
-    assert notched_map(N_FFT, 0).n_occupied == 200
-    main = notched_map(N_FFT, 42)
+    assert notched_map(0).n_occupied == 200
+    main = notched_map(42)
     assert main.occupied == tuple(range(-100, 0)) + (1, 2, 3) + tuple(range(46, 101))
-    narrow = notched_map(N_FFT, 2)
+    # The notch study's preset, whose interferer the notch is centred on.
+    assert main == load(crossterm.STUDY_PRESET).frame.smap
+    narrow = notched_map(2)
     assert 24 not in narrow.occupied and 25 not in narrow.occupied
     assert 23 in narrow.occupied and 26 in narrow.occupied
     with pytest.raises(ValueError):
-        notched_map(N_FFT, 3)
+        notched_map(3)
     with pytest.raises(ValueError):
-        notched_map(N_FFT, -2)
-
-
-def test_study_constants_are_those_of_the_preset_it_draws():
-    """The constants of the notch and the closed-form checks cannot drift
-    from the preset whose frames the notch study draws."""
-    sc = load(crossterm.STUDY_PRESET)
-    assert sc.name == "sync_error_ideal_tone"
-    assert (crossterm.N_FFT, crossterm.N_CP) == (sc.frame.n_fft, sc.frame.n_cp)
-    assert crossterm.NBI_CENTER == sc.nbi.f_c
-    assert crossterm.CFO_MAX == sc.cfo_max_norm
-    assert notched_map(crossterm.N_FFT, 42).occupied == sc.frame.smap.occupied
+        notched_map(-2)
 
 
 def test_relative_cross_power_basics():

@@ -2,13 +2,16 @@
 
 No linter ships with the development tools, so this walks the source with
 the standard library's ast.  Names listed in a module's __all__ (the
-package's re-exports) and __future__ imports are exempt.
+package's re-exports) and __future__ imports are exempt; every name in the
+package's __all__ must itself resolve.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import ncsync
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ncsync"
 
@@ -40,3 +43,8 @@ def test_the_check_flags_only_unreferenced_names():
               "__all__ = ['b']\n"
               "def f(z: d) -> None:\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["a", "os"]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(ncsync.__all__)) == len(ncsync.__all__)
+    assert [name for name in ncsync.__all__ if not hasattr(ncsync, name)] == []

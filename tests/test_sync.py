@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsync import (ChunkCorrelator, FrameSpec, NoSignalError, OpCounters,
-                    SlidingCorrelator, SubcarrierMap, SymbolGrid, TimeSignal,
-                    apply_cfo, build_frame, compute_trace, count_report, detect,
-                    generate_preamble, nirs_numerator, preamble_from_bits,
-                    random_data_symbol, trace_from_stream)
+                    SubcarrierMap, SymbolGrid, TimeSignal, apply_cfo, build_frame,
+                    compute_trace, count_report, detect, generate_preamble,
+                    nirs_numerator, preamble_from_bits, random_data_symbol,
+                    trace_from_recursions, trace_from_stream)
 from ncsync.metrics import MetricTrace
 from ncsync.streaming import COST_PER_SAMPLE, MODES, model_counters
 
@@ -200,27 +200,29 @@ def test_counter_helpers():
 
 
 def test_streaming_input_validation():
+    ones = TimeSignal(np.ones(300, dtype=complex), 0)
     with pytest.raises(ValueError):
-        SlidingCorrelator(10)  # not a multiple of 4
+        trace_from_recursions(ones, 10)  # not a multiple of 4
     with pytest.raises(ValueError):
-        SlidingCorrelator(256, mode="fast")
+        trace_from_recursions(ones, 256, mode="fast")
     with pytest.raises(ValueError):
         ChunkCorrelator(10)
     with pytest.raises(ValueError):
         ChunkCorrelator(256, mode="fast")
     with pytest.raises(ValueError):
         ChunkCorrelator(16).push(np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        trace_from_stream(TimeSignal(np.zeros(10, dtype=complex), 0), N_FFT)
+    short = TimeSignal(np.zeros(10, dtype=complex), 0)
     x = np.ones(300, dtype=complex)
     x[280] = np.nan
-    with pytest.raises(ValueError, match=r"stream sample 280 is not finite"):
-        trace_from_stream(TimeSignal(x, origin=50), N_FFT)
-    corr = SlidingCorrelator(16, mode="sc")
-    assert all(corr.push(1.0) is None for _ in range(15))
-    first = corr.push(1.0)
-    assert first is not None and first.window_start == 0
-    assert corr.counted_steps == 0  # warm-up emission is free
+    for run in (trace_from_stream, trace_from_recursions):
+        with pytest.raises(ValueError, match=r"buffer of 10 samples is shorter than one window"):
+            run(short, N_FFT)
+        with pytest.raises(ValueError, match=r"stream sample 280 is not finite"):
+            run(TimeSignal(x, origin=50), N_FFT)
+    for mode in MODES:
+        one, ops, counted = trace_from_recursions(TimeSignal(np.ones(16), origin=3), 16, mode)
+        assert one.n.tolist() == [-3]
+        assert counted == 0 and ops == OpCounters()  # warm-up emission is free
 
 
 @pytest.mark.parametrize("n_fft", [4, 6, 10, 255])
@@ -236,38 +238,37 @@ def test_compute_trace_rejects_a_bad_n_fft(n_fft):
 @settings(max_examples=300, deadline=None)
 @given(n_fft=st.sampled_from([8, 16, 32]), mode=st.sampled_from(MODES),
        extra=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
-def test_sliding_correlator_matches_the_batch_trace(n_fft, mode, extra, seed):
+def test_recursions_match_the_batch_trace(n_fft, mode, extra, seed):
     """From its zero state the per-sample model agrees with compute_trace at
     every window, window 0 included, and counts every window after the first."""
     x = np.random.default_rng(seed).standard_normal(2 * (n_fft + extra)).view(np.complex128)
-    corr = SlidingCorrelator(n_fft, mode=mode)
-    results = [res for s in x if (res := corr.push(s)) is not None]
+    model, ops, counted = trace_from_recursions(TimeSignal(x, 0), n_fft, mode)
     one = compute_trace(TimeSignal(x, 0), n_fft, with_nirs=mode == "nirs")
-    assert [res.window_start for res in results] == one.n.tolist()
+    np.testing.assert_array_equal(model.n, one.n)
     tol = 1e-9 * n_fft
-    assert np.max(np.abs([res.g for res in results] - one.g)) < tol
-    assert np.max(np.abs([res.m for res in results] - one.m)) < tol
-    assert np.max(np.abs([res.metric for res in results] - one.metric(mode))) < 1e-9
-    if mode == "sc":
-        assert all(res.q is None for res in results)
-    else:
-        assert np.max(np.abs([res.q for res in results] - one.q)) < tol
-    assert corr.counted_steps == len(one) - 1
-    assert corr.ops == model_counters(mode, corr.counted_steps)
+    for name in TRACE_FIELDS:
+        want = getattr(one, name)
+        if want is None:
+            assert getattr(model, name) is None
+        else:
+            assert np.max(np.abs(getattr(model, name) - want)) < (
+                1e-9 if name.startswith("metric") else tol), name
+    assert counted == len(one) - 1
+    assert ops == model_counters(mode, counted)
 
 
-def test_sliding_recursions_match_direct_sums():
-    """The O(1) recursions, pushed sample by sample over criterion 04's input."""
-    rng = np.random.default_rng(20004)
-    r = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    corr = SlidingCorrelator(N_FFT, mode="nirs")
-    results = [res for s in r if (res := corr.push(s)) is not None]
-    assert [res.window_start for res in results] == list(range(1000 - N_FFT + 1))
-    worst = 0.0
-    for res in results:
-        g, m, q = direct_sums(r, res.window_start)
-        worst = max(worst, abs(res.g - g), abs(res.m - m), abs(res.q - q))
-    assert worst < STREAM_TOL
+@settings(max_examples=150, deadline=None)
+@given(n_fft=st.sampled_from([8, 16, 32]), mode=st.sampled_from(MODES),
+       extra=st.integers(0, 100), origin=st.integers(-50, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_recursions_count_what_the_engine_reports(n_fft, mode, extra, origin, seed):
+    """The tallied counters and steps equal the cost table trace_from_stream reads."""
+    x = np.random.default_rng(seed).standard_normal(2 * (n_fft + extra)).view(np.complex128)
+    sig = TimeSignal(x, origin)
+    model, ops, counted = trace_from_recursions(sig, n_fft, mode)
+    streamed, want_ops, want_counted = trace_from_stream(sig, n_fft, mode)
+    assert (ops, counted) == (want_ops, want_counted)
+    np.testing.assert_array_equal(model.n, streamed.n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,12 +286,8 @@ def test_any_chunking_equals_one_shot(n_fft, mode, length, seed, data):
         trace = corr.push(chunk)
         if trace is not None:
             parts.append(trace)
-        n_windows = sum(len(p) for p in parts)
-        assert corr.counted_steps == max(0, n_windows - 1)
-        assert corr.ops == model_counters(mode, corr.counted_steps)
     one = compute_trace(TimeSignal(x, 0), n_fft, with_nirs=mode == "nirs")
     np.testing.assert_array_equal(np.concatenate([p.n for p in parts]), one.n)
-    assert corr.counted_steps == len(one) - 1
     for name in TRACE_FIELDS:
         want = getattr(one, name)
         if want is None:
@@ -324,20 +321,17 @@ def test_chunk_push_rejects_non_finite_by_stream_index(mode, bad, at):
         if want is not None:
             np.testing.assert_array_equal(got.n, want.n)
             np.testing.assert_array_equal(got.metric(mode), want.metric(mode))
-    assert corr.counted_steps == clean.counted_steps
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("at", [30, N_FFT - 1, 390])  # warm-up, its last sample, a step
-def test_sliding_push_rejects_non_finite_by_stream_index(bad, at):
+def test_recursions_reject_non_finite_by_stream_index(mode, bad, at):
+    # The index is the sample's position in the buffer, whatever the origin.
     x = np.random.default_rng(67).standard_normal(2 * 500).view(np.complex128)
-    clean, corr = SlidingCorrelator(N_FFT), SlidingCorrelator(N_FFT)
-    for k, s in enumerate(x):
-        if k == at:
-            with pytest.raises(ValueError, match=rf"stream sample {at} is not finite"):
-                corr.push(bad)
-        assert corr.push(s) == clean.push(s)
-    assert corr.ops == clean.ops
+    x[at] = x[-1] = bad
+    with pytest.raises(ValueError, match=rf"stream sample {at} is not finite"):
+        trace_from_recursions(TimeSignal(x, origin=100), N_FFT, mode)
 
 
 def test_metric_bound_and_normalizer_sign():
