@@ -41,6 +41,9 @@ class ChannelRealization:
         taps = np.atleast_1d(np.asarray(self.taps, dtype=np.complex128))
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a non-empty 1-D array")
+        if not np.isfinite(taps).all():
+            i = int(np.isfinite(taps).argmin())
+            raise ValueError(f"channel tap {i} is not finite: {taps[i]}")
         object.__setattr__(self, "taps", taps)
 
     def freq_response(self, ks, n_fft: int) -> np.ndarray:
@@ -147,20 +150,37 @@ class MixResult:
 
 
 def apply_multipath(x: TimeSignal, ch: ChannelRealization) -> TimeSignal:
-    """Convolve with the channel; output keeps the input's origin.
+    """Filter by the channel as a tapped delay line over its non-zero taps;
+    output keeps the input's origin.
 
     Full convolution, so the buffer grows by n_taps - 1 tail samples.
     """
-    out = np.convolve(x.samples, ch.taps)
+    out = np.zeros(len(x) + ch.taps.size - 1, dtype=np.complex128)
+    for lag in np.flatnonzero(ch.taps).tolist():
+        out[lag:lag + len(x)] += ch.taps[lag] * x.samples
     return TimeSignal(out, origin=x.origin)
 
 
 def apply_cfo(x: TimeSignal, nu: float, n_fft: int) -> TimeSignal:
-    """Multiply by exp(j 2 pi nu n / N), n frame-relative, as cos + j sin of the phase."""
-    theta = (2.0 * np.pi * nu) * x.n_axis() * (1.0 / n_fft)
-    phasor = np.empty(theta.size, dtype=np.complex128)
-    phasor.real, phasor.imag = np.cos(theta), np.sin(theta)
-    return TimeSignal(x.samples * phasor, origin=x.origin)
+    """Multiply by exp(j 2 pi nu n / N), n frame-relative."""
+    out = _rotator(2.0 * np.pi * nu / n_fft, 0.0, -x.origin, len(x))
+    out *= x.samples
+    return TimeSignal(out, origin=x.origin)
+
+
+def _rotator(rate: float, phase0: float, n0: int, length: int) -> np.ndarray:
+    """exp(j (rate n + phase0)) for n = n0 .. n0 + length - 1.
+
+    Sample n0 + b a + j is coarse[a] * fine[j], with coarse[a] =
+    exp(j (rate (n0 + b a) + phase0)), fine[j] = exp(j rate j) and b =
+    ceil(sqrt(length)): about 2 sqrt(length) cos/sin pairs.  Each sample is
+    within a few eps (1 + |rate| (|n| + 2 b) + |phase0|) of the exact phasor,
+    the two angles' rounding.
+    """
+    b = math.isqrt(length - 1) + 1
+    coarse = rate * np.arange(n0, n0 + length, b, dtype=np.float64) + phase0
+    fine = rate * np.arange(b, dtype=np.float64)
+    return np.multiply.outer(np.exp(1j * coarse), np.exp(1j * fine)).ravel()[:length]
 
 
 def draw_channel_cost207tu(rng: np.random.Generator, sample_rate_hz: float) -> ChannelRealization:
@@ -201,8 +221,7 @@ def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    n = np.arange(-origin, length - origin, dtype=np.float64)
-    phase = 2.0 * np.pi * spec.f_total * n / n_fft + spec.phase0
+    carrier = _rotator(2.0 * np.pi * spec.f_total / n_fft, spec.phase0, -origin, length)
     if spec.kind != "ideal_tone":
         if spec.kind == "fm_wideband":
             delta_f = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz)
@@ -211,11 +230,10 @@ def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
         beta = delta_f / spec.f_m_hz
         theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
         fs = n_fft * spec.sc_spacing_hz
-        n *= 2.0 * np.pi * spec.f_m_hz  # n's last use: the message's phase, in place
-        n /= fs
-        n += theta
-        phase += beta * np.sin(n, out=n)
-    return TimeSignal(np.exp(1j * phase), origin=origin)
+        # The message sin(2 pi f_m n / fs + theta) is a ramp's imaginary part.
+        message = _rotator(2.0 * np.pi * spec.f_m_hz / fs, theta, -origin, length).imag
+        carrier *= np.exp(1j * beta * message)
+    return TimeSignal(carrier, origin=origin)
 
 
 def mean_power(x: np.ndarray) -> float:

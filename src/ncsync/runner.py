@@ -120,6 +120,12 @@ def _interferer(sc: Scenario, rng: np.random.Generator, y: TimeSignal) -> TimeSi
                    len(y), y.origin, sc.frame.n_fft, rng)
 
 
+def _interferer_end(sc: Scenario) -> dict:
+    """The state `_interferer` leaves a seed-0 generator in over one sample."""
+    _interferer(sc, rng := np.random.default_rng(0), TimeSignal(np.zeros(1), 0))
+    return rng.bit_generator.state
+
+
 def _receive(sc: Scenario, snr_db: float, sir_db: float,
              rng: np.random.Generator | Realization) -> tuple[TimeSignal, Realization]:
     """A frame, or one `_draw`n from `rng`, mixed: (received, frame)."""
@@ -192,7 +198,7 @@ def _run_plan(sc: Scenario, key: str, plan, columns: tuple[str, ...], trials: in
     variant (others may differ only in an interferer drawing as many values),
     and each `_BLOCK` of trials is scored cell by cell.  Returns a row per cell
     and algorithm in plan order: `columns` of its leading columns, algorithm,
-    interferer kind and statistics.  A negative seed or repeated cell fails first.
+    interferer kind and statistics.  A negative seed, repeated cell or odd draw fails first.
     """
     n_trials = _at_least("trial count", sc.n_trials if trials is None else trials, 1)
     leads = Counter(tuple(lead.values()) for *_, lead in plan)
@@ -200,6 +206,12 @@ def _run_plan(sc: Scenario, key: str, plan, columns: tuple[str, ...], trials: in
     if repeated:
         raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
                          f"is listed twice")
+    first, *_, first_lead = plan[0]
+    for cell_sc, *_, lead in plan:
+        if cell_sc is not first and _interferer_end(cell_sc) != _interferer_end(first):
+            raise ValueError(f"cells {first_lead} ({first.nbi.kind}) and {lead} "
+                             f"({cell_sc.nbi.kind}) draw different numbers of interferer "
+                             f"values, so the second's noise would not be its own")
     master_seed = _at_least("seed", sc.master_seed if seed is None else seed, 0)
     per_cell = [[] for _ in plan]  # run_cell's outcomes, one dict per block
     for start in range(0, n_trials, _BLOCK):

@@ -2,7 +2,10 @@
 
 Each property compares bit for bit (or index for index) with a plain
 reference kept here, so the golden output hashes stay a consequence of
-these identities rather than of the preset seeds they happen to use.
+these identities rather than of the preset seeds they happen to use.  The
+channel and the phase ramps (CFO, interferer) are the exceptions: their
+arithmetic was changed on purpose, and they are held to an error bound
+against np.convolve and against phasors taken in np.longdouble.
 """
 
 import cmath
@@ -19,14 +22,16 @@ from hypothesis.extra import numpy as hnp
 
 import ncsync.metrics
 import ncsync.runner
-from ncsync import (FrameSpec, MetricTrace, NoSignalError, SubcarrierMap, SymbolGrid,
-                    SyncResult, TimeSignal, apply_cfo, build_frame, compute_trace, detect,
-                    map_qpsk, modulate_symbol, random_data_symbol)
+from ncsync import (ChannelRealization, FrameSpec, MetricTrace, NoSignalError, SubcarrierMap,
+                    SymbolGrid, SyncResult, TimeSignal, apply_cfo, apply_multipath,
+                    build_frame, compute_trace, detect, map_qpsk, modulate_symbol,
+                    random_data_symbol)
 from ncsync.detect import TIMING_RULES, _plateau_midpoint
 from ncsync.evaluate import AggregateStats, TrialOutcome, aggregate
 from ncsync.impairments import (COST207_TU_DELAYS_US, COST207_TU_POWERS_DB, MixResult,
                                 MixSpec, NbiSpec, calibrate_and_mix, carson_deviation_hz,
-                                check_level_db, draw_channel_cost207tu, gen_nbi, mean_power)
+                                _rotator, check_level_db, draw_channel_cost207tu, gen_nbi,
+                                mean_power)
 from ncsync.runner import (_frame_percentiles, _receive, emit_trace, run_trial,
                            trial_rng, write_csv)
 from ncsync.scenario import load, preset_names
@@ -332,12 +337,6 @@ def test_sorted_stack_percentiles_equal_the_unsorted_ones(stack):
         assert got[:, k].tobytes() == want[k].tobytes()
 
 
-def exp_apply_cfo(x, nu, n_fft):
-    """The CFO as it was applied: a complex exp of a complex argument."""
-    return TimeSignal(x.samples * np.exp(2j * np.pi * nu * x.n_axis() / n_fft),
-                      origin=x.origin)
-
-
 def loop_random_data_symbols(spec, rng, count=None):
     """random_data_symbol as it was: one bit draw per symbol."""
     if count is None:
@@ -350,40 +349,117 @@ def loop_random_data_symbols(spec, rng, count=None):
 
 sample_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1e6, 1e6))
 
+# The phase ramps are held to exp(j (rate n + phase0)) taken in np.longdouble
+# (80-bit on x86-64, eps 1.1e-19) from the same double rate and phase.  A
+# sample n = n0 + b a + j of a ramp of length L (b = ceil(sqrt(L))) is the
+# product of phasors at angles rate (n0 + b a) + phase0 and rate j, so it
+# may be off by ROTATOR_K eps (1 + |rate| (|n| + 2 b) + |phase0|): those
+# angles' rounding plus a few eps of cos/sin and products.  Over 20,000
+# random cases each of the two properties below the worst was 0.98 of
+# those eps for apply_cfo and 1.19 for gen_nbi, and 0.78 over the edges.
+EPS = np.finfo(np.float64).eps
+ROTATOR_K = 4
+TINY = 4 * np.finfo(np.float64).smallest_subnormal  # a product's floor below the normals
+longdouble = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                reason="np.longdouble is no wider than float64 here")
 
+
+def rotator_scale(rate, phase0, n):
+    """1 + |rate| (|n| + 2 b) + |phase0| over a ramp's sample indices n."""
+    b = math.isqrt(n.size - 1) + 1
+    return 1 + abs(rate) * (np.abs(n) + 2 * b) + abs(phase0)
+
+
+def longdouble_angle(rate, phase0, n):
+    """rate n + phase0 in np.longdouble, from the double rate and phase."""
+    return np.longdouble(rate) * np.asarray(n, dtype=np.longdouble) + np.longdouble(phase0)
+
+
+def phasor_error(got, angle, x=1.0):
+    """|got - x exp(j angle)| per sample, with the right side in np.longdouble."""
+    c, s = np.cos(angle), np.sin(angle)
+    xr, xi = (np.asarray(part(x), dtype=np.longdouble) for part in (np.real, np.imag))
+    return np.hypot(got.real - (xr * c - xi * s), got.imag - (xr * s + xi * c))
+
+
+@longdouble
 @SETTINGS
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 300), st.just(2)), elements=sample_parts),
        st.data(), st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-1e3, 1e3)),
        st.integers(1, 4096))
-def test_real_phase_cfo_equals_the_complex_exp(parts, data, nu, n_fft):
-    """apply_cfo against the complex exp it replaced, compared by value.
-
-    The two phasors have the same bits but for the sign of an exact zero
-    part, and so have the products: over 4000 random cases with zero samples
-    and zero or signed-zero CFOs, 399 differed in the bytes and none in
-    value.  In a realization the mix adds the interferer and noise terms,
-    zeros included, which turns every -0.0 into 0.0, so the received buffer
-    keeps its bytes (next test).
-    """
+def test_apply_cfo_is_within_the_rotator_bound(parts, data, nu, n_fft):
     x = TimeSignal(parts.view(np.complex128).ravel(),
                    origin=data.draw(st.integers(0, parts.shape[0] - 1)))
-    got, want = apply_cfo(x, nu, n_fft), exp_apply_cfo(x, nu, n_fft)
-    assert got.origin == want.origin
-    assert np.array_equal(got.samples, want.samples)
+    got = apply_cfo(x, nu, n_fft)
+    assert got.origin == x.origin and got.samples.shape == x.samples.shape
+    rate, n = 2.0 * np.pi * nu / n_fft, x.n_axis()
+    bound = ROTATOR_K * EPS * np.abs(x.samples) * rotator_scale(rate, 0.0, n) + TINY
+    assert (phasor_error(got.samples, longdouble_angle(rate, 0.0, n), x.samples)
+            <= bound).all()
+
+
+@longdouble
+@pytest.mark.parametrize("length", [1, 2, 4, 5, 63 ** 2, 63 ** 2 + 1, 64 ** 2, 64 ** 2 + 1])
+@pytest.mark.parametrize("n0", [0, -3, -421_000, 421_000 - 64 ** 2])
+@pytest.mark.parametrize("rate, phase0", [(0.0, 0.0), (0.0, 1.0), (2 * np.pi * 0.37 / 256, 0.0),
+                                          (-2 * np.pi * 24.5 / 256, 5.9), (3.0, -2.0)])
+def test_rotator_edges(length, n0, rate, phase0):
+    # Lengths that are 1, b^2 and b^2 + 1 (a coarse row of one sample), and
+    # n0 as far out as a 418,705-sample capture reaches from its origin.
+    ramp = _rotator(rate, phase0, n0, length)
+    assert ramp.shape == (length,) and ramp.dtype == np.complex128
+    n = np.arange(n0, n0 + length)
+    bound = ROTATOR_K * EPS * rotator_scale(rate, phase0, n)
+    assert (phasor_error(ramp, longdouble_angle(rate, phase0, n)) <= bound).all()
+    if rate == 0.0 and phase0 == 0.0:
+        assert np.array_equal(ramp, np.ones(length))  # no CFO is an exact identity
 
 
 @pytest.mark.parametrize("name", preset_names())
 @pytest.mark.parametrize("cell", [(20.0, 0.0), (np.inf, 10.0), (5.0, np.inf),
                                   (np.inf, np.inf)])
-def test_received_buffer_equals_the_per_symbol_complex_exp_chain(name, cell, monkeypatch):
+def test_received_buffer_equals_the_per_symbol_draw_chain(name, cell, monkeypatch):
     sc = load(name)
     got = [_receive(sc, *cell, trial_rng(sc.master_seed, "eq", t))[0] for t in range(3)]
     monkeypatch.setattr(ncsync.runner, "random_data_symbol", loop_random_data_symbols)
-    monkeypatch.setattr(ncsync.runner, "apply_cfo", exp_apply_cfo)
     for t, received in enumerate(got):
         want = _receive(sc, *cell, trial_rng(sc.master_seed, "eq", t))[0]
         assert received.origin == want.origin
         assert received.samples.tobytes() == want.samples.tobytes()
+
+
+@st.composite
+def channel_taps(draw):
+    """Dense, sparse (a COST 207 TU pattern among them), single-tap and all-zero taps."""
+    size = draw(st.integers(1, 25))
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-10.0, 10.0))
+    taps = draw(hnp.arrays(np.float64, (size, 2), elements=parts)).view(np.complex128).ravel()
+    layout = draw(st.sampled_from(["dense", "sparse", "cost207", "single", "zero"]))
+    if layout == "sparse":
+        taps[draw(hnp.arrays(np.bool_, size))] = 0
+    elif layout == "cost207":
+        taps = np.zeros(20, dtype=np.complex128)
+        taps[[0, 1, 2, 6, 9, 19]] = draw(hnp.arrays(np.float64, 12, elements=parts)).view(
+            np.complex128)
+    elif layout == "single":
+        taps[np.arange(size) != draw(st.integers(0, size - 1))] = 0
+    elif layout == "zero":
+        taps[:] = 0
+    return taps
+
+
+@SETTINGS
+@given(channel_taps(), hnp.arrays(np.float64, st.tuples(st.integers(1, 300), st.just(2)),
+                                  elements=sample_parts), st.integers(-300, 300))
+def test_tapped_delay_line_is_np_convolve_within_the_dot_product_bound(taps, parts, origin):
+    # Each output is a sum of at most L products summed in another order
+    # than np.convolve's dot: both lie within (L + 2) eps sum |h| |x| of it.
+    x = TimeSignal(parts.view(np.complex128).ravel(), origin)
+    got = apply_multipath(x, ChannelRealization(taps))
+    want = np.convolve(x.samples, taps)
+    assert got.origin == x.origin and got.samples.shape == want.shape
+    bound = 2 * (taps.size + 2) * EPS * np.convolve(np.abs(x.samples), np.abs(taps)) + TINY
+    assert (np.abs(got.samples - want) <= bound).all()
 
 
 def reference_write_csv(path, rows):
@@ -472,9 +548,13 @@ def frozen_n_axis(x):
     return np.arange(x.samples.size) - x.origin
 
 
-def frozen_gen_nbi(spec, length, origin, n_fft, rng=None):
-    n = np.arange(length, dtype=np.float64) - origin
-    phase = 2.0 * np.pi * spec.f_total * n / n_fft + spec.phase0
+def longdouble_gen_nbi(spec, length, origin, n_fft, rng=None):
+    """gen_nbi's phase in np.longdouble from its double rates, drawing as it
+    draws, and its rotator bound in eps: (angle, bound / eps)."""
+    n = np.arange(-origin, length - origin)
+    rate = 2.0 * np.pi * spec.f_total / n_fft
+    angle = longdouble_angle(rate, spec.phase0, n)
+    scale = rotator_scale(rate, spec.phase0, n)
     if spec.kind != "ideal_tone":
         if spec.kind == "fm_wideband":
             delta_f = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz)
@@ -482,9 +562,10 @@ def frozen_gen_nbi(spec, length, origin, n_fft, rng=None):
             delta_f = spec.delta_f_hz
         beta = delta_f / spec.f_m_hz
         theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
-        fs = n_fft * spec.sc_spacing_hz
-        phase = phase + beta * np.sin(2.0 * np.pi * spec.f_m_hz * n / fs + theta)
-    return TimeSignal(np.exp(1j * phase), origin=origin)
+        rate_m = 2.0 * np.pi * spec.f_m_hz / (n_fft * spec.sc_spacing_hz)
+        angle += np.longdouble(beta) * np.sin(longdouble_angle(rate_m, theta, n))
+        scale += beta * rotator_scale(rate_m, theta, n)
+    return angle, scale
 
 
 def assert_same_outcome(fn, frozen, *args):
@@ -580,16 +661,18 @@ def nbi_specs(draw):
                    sc_spacing_hz=draw(st.sampled_from([15e3, 7.5e3, 31.25e3])))
 
 
+@longdouble
 @FROZEN
 @given(nbi_specs(), st.integers(1, 3000), st.integers(-3000, 3000),
        st.sampled_from([8, 64, 256, 1024]), st.integers(0, 2**32 - 1), st.booleans())
-def test_gen_nbi_equals_the_frozen_one(spec, length, origin, n_fft, seed, with_rng):
+def test_gen_nbi_is_within_the_rotator_bound(spec, length, origin, n_fft, seed, with_rng):
+    # The FM message's own ramp error is scaled by beta into the phase.
     rng, frozen_rng = (np.random.default_rng(seed), np.random.default_rng(seed)) \
         if with_rng else (None, None)
     got = gen_nbi(spec, length, origin, n_fft, rng)
-    want = frozen_gen_nbi(spec, length, origin, n_fft, frozen_rng)
-    assert got.origin == want.origin
-    assert got.samples.tobytes() == want.samples.tobytes()
+    angle, scale = longdouble_gen_nbi(spec, length, origin, n_fft, frozen_rng)
+    assert got.origin == origin and got.samples.shape == (length,)
+    assert (phasor_error(got.samples, angle) <= ROTATOR_K * EPS * scale).all()
     if with_rng:
         assert rng.bit_generator.state == frozen_rng.bit_generator.state
 

@@ -44,11 +44,11 @@ GOLDEN = {
     "nbi_bandwidth_sweep/bandwidth_sweep.csv":
         "a34e00469adde3d5cdf2e127325bcdfed19c2632b4430bf3841f34a6b4e7812d",
     "trace/trace.csv":
-        "7e27f770398b7f3ba6c160c8148fd3b387cae9dc5bee483472ab53f3503537d6",
+        "34a7c0d2bfedcaa9522880fa208a099294c61693cbe833d4097c386553cf80a0",
     "trace_pct/trace_percentiles.csv":
-        "0b6e1f4e279a55919bdb5008704deea8ce8d3bf9ced3150a37ae0c5dfec8b4b1",
+        "f3d5090ff79ef58fa3838eb1b89a2fd188df88926e8cc59a20d032ee36bb4dd8",
     "trace_pct_200/trace_percentiles.csv":
-        "7835c69fdec08d5fef09c5f099e661662b4251b8d0e95aaf3ecc0912cd79ebab",
+        "705cb328034e4ccd4703b8eef9de7afde8f5f88c12d110bfa1bb21044f44207c",
     "validate_appendix/notch_study.csv":
         "9e3abed720bd243165b729c78ccafb91df5e4ed3c4e09797b3be4cf196da3f42",
 }

@@ -1,5 +1,6 @@
 """The output-hashing tool prints one stable SHA-256 per output file and seed."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -31,6 +32,14 @@ def test_one_trial_hashes_every_output_for_every_seed_and_repeats(capsys):
     n = len(FILES)
     assert all(a[2] != b[2] for a, b in zip(lines[:n], lines[n:]))
     assert hashes(capsys, "--trials", "1", "--frames", "2", "--seeds", "7") == lines[n:]
+
+
+def test_keep_writes_the_hashed_files_under_their_seed(capsys, tmp_path):
+    lines = hashes(capsys, "--trials", "1", "--frames", "2", "--seeds", "7",
+                   "--keep", str(tmp_path))
+    assert [what for _, what, _ in lines] == FILES
+    for seed, what, digest in lines:
+        assert hashlib.sha256((tmp_path / seed / what).read_bytes()).hexdigest() == digest
 
 
 def test_no_seed_is_an_error(capsys):

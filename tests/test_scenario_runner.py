@@ -428,6 +428,25 @@ def test_repeated_bandwidths_or_sirs_fail_before_any_trial(monkeypatch):
     assert calls == []
 
 
+def test_a_plan_whose_interferers_draw_differently_fails_naming_both_cells(monkeypatch):
+    # The FM kinds draw a message phase that a tone does not: a tone cell
+    # beside an FM one would take its noise from another stream position
+    # than the cell run alone.
+    calls = []
+    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
+    sc = load("sync_error_ideal_tone")
+    fm = replace(sc, nbi=replace(sc.nbi, kind="fm_carson"))
+    plan = [(sc, 20.0, 0.0, {"snr_db": 20.0, "sir_db": 0.0}),
+            (replace(sc), 20.0, 10.0, {"snr_db": 20.0, "sir_db": 10.0}),
+            (fm, 20.0, 20.0, {"snr_db": 20.0, "sir_db": 20.0})]
+    named = (r"^cells \{'snr_db': 20.0, 'sir_db': 0.0\} \(ideal_tone\) and "
+             r"\{'snr_db': 20.0, 'sir_db': 20.0\} \(fm_carson\) draw different numbers")
+    with pytest.raises(ValueError, match=named):
+        ncsync.runner._run_plan(sc, "grid", plan, ncsync.runner.RESULT_COLUMNS, 1, None,
+                                None, "results.csv")
+    assert calls == []
+
+
 def test_every_entry_point_rejects_fewer_than_one_trial():
     sc = load("quick_demo")
     with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):

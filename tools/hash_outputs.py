@@ -17,6 +17,9 @@ directory and one line is printed per file (seed, scenario/file, SHA-256):
 - notch_study.csv of `ncsync validate-appendix --trials T --grids 3 --seed S`,
   at --trials trials per notch point and S = 1 (the command's default) for
   `preset`.
+
+With --keep DIR the files are written under DIR/<seed>/ and kept, so that
+two trees' CSVs can be compared row by row.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ def main(argv=None) -> int:
     ap.add_argument("--frames", type=int, required=True, help="frames of the trace cell")
     ap.add_argument("--seeds", required=True,
                     help="comma-separated seeds; `preset` keeps each scenario's own")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="write the files under DIR/<seed>/ and keep them")
     args = ap.parse_args(argv)
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not seeds:
@@ -77,7 +82,8 @@ def main(argv=None) -> int:
     print(f"ncsync from {Path(runner.__file__).parent}", file=sys.stderr)
     for label in seeds:
         seed = None if label == "preset" else int(label)
-        with tempfile.TemporaryDirectory(prefix="hash-outputs-") as tmp:
+        with (contextlib.nullcontext(Path(args.keep) / label) if args.keep
+              else tempfile.TemporaryDirectory(prefix="hash-outputs-")) as tmp:
             for what, path in outputs(seed, args.trials, args.frames, Path(tmp)):
                 print(f"{label}\t{what}\t{hashlib.sha256(path.read_bytes()).hexdigest()}",
                       flush=True)
