@@ -231,9 +231,9 @@ def relative_cross_power(notch_scs: int, sir_db: float, timing: str,
 
     Each trial draws a frame of STUDY_PRESET on the notched map with no
     silent prefix, through the harness's own draw (`runner._draw`: preamble,
-    data, urban channel, CFO, tone) and scales the tone to sir_db as its mix
-    does.  G is decomposed at the chosen timing position ("optimal" = frame
-    start, "random_data" = uniform inside the data symbols).  Cross-term
+    data, urban channel, CFO, noise, tone) and scales the tone to sir_db as
+    its mix does.  G is decomposed at the chosen timing position ("optimal" =
+    frame start, "random_data" = uniform inside the data symbols).  Cross-term
     power shrinks as the notch widens; at infinite SIR the tone vanishes and
     the ratio is 0.
     """

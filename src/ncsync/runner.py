@@ -1,6 +1,6 @@
 """Monte-Carlo orchestration: trials, cells, and deterministic outputs.
 
-Trial t's frame (bits, data, channel, CFO, interferer, raw noise) is drawn
+Trial t's frame (bits, data, channel, CFO, raw noise, interferer) is drawn
 from SeedSequence((master_seed, crc32(key), t)) in a fixed order; only the mix
 sets its SNR and SIR.  A plan (the grid, or the bandwidth sweep) draws each
 trial once from one plan-level key and scores it in all its cells (common
@@ -74,7 +74,7 @@ class Realization:
     ch: ChannelRealization
     nu: float
     nbi_of: NbiSpec  # the scenario interferer `nbi` was built for
-    nbi_state: dict  # the generator's state before `_interferer` built it
+    nbi_state: dict  # the generator's state after the noise, where `_interferer` starts
     h: np.ndarray | None = None
 
 
@@ -82,9 +82,10 @@ def _draw(sc: Scenario, rng: np.random.Generator) -> Realization:
     """One frame through the impairment chain, before the mix.
 
     Draw order (fixed for reproducibility, and written only here and in
-    `_interferer`): preamble bits, data symbols, channel, CFO, interferer
-    offset and phases, noise (drawn at every SNR).  Detectors consume no
-    randomness, so a realization does not depend on what is done with it.
+    `_interferer`): preamble bits, data symbols, channel, CFO, noise (drawn
+    at every SNR), interferer offset and phases, after which nothing is
+    drawn.  Detectors consume no randomness, so a realization does not
+    depend on what is done with it.
     """
     spec = sc.frame
     bits = rng.integers(0, 2, size=2 * spec.smap.even_occupied().size)
@@ -102,10 +103,10 @@ def _draw(sc: Scenario, rng: np.random.Generator) -> Realization:
     nu = rng.uniform(-sc.cfo_max_norm, sc.cfo_max_norm) if sc.cfo_max_norm else 0.0
     y_cfo = apply_cfo(y, nu, spec.n_fft)
 
+    noise = rng.standard_normal(2 * len(y_cfo)).view(np.complex128)
+
     state = rng.bit_generator.state
     nbi = _interferer(sc, rng, y_cfo)
-
-    noise = rng.standard_normal(2 * len(y_cfo)).view(np.complex128)
     active = slice(spec.n_empty_prefix * spec.symbol_len, None)
     powers = (mean_power(y_cfo.samples[active]), mean_power(noise[active]))
     return Realization(y_cfo, nbi, noise, active, powers, bits, ch, nu, sc.nbi, state)
@@ -118,12 +119,6 @@ def _interferer(sc: Scenario, rng: np.random.Generator, y: TimeSignal) -> TimeSi
     phase0 = rng.uniform(0.0, 2.0 * np.pi)
     return gen_nbi(sc.nbi_spec(phase0=phase0, freq_offset_hz=offset),
                    len(y), y.origin, sc.frame.n_fft, rng)
-
-
-def _interferer_end(sc: Scenario) -> dict:
-    """The state `_interferer` leaves a seed-0 generator in over one sample."""
-    _interferer(sc, rng := np.random.default_rng(0), TimeSignal(np.zeros(1), 0))
-    return rng.bit_generator.state
 
 
 def _receive(sc: Scenario, snr_db: float, sir_db: float,
@@ -195,10 +190,10 @@ def _run_plan(sc: Scenario, key: str, plan, columns: tuple[str, ...], trials: in
     """Run a plan: cells of (scenario variant, SNR, SIR, leading columns).
 
     Trial t is drawn once, from trial_rng(seed, key, t) under the first cell's
-    variant (others may differ only in an interferer drawing as many values),
-    and each `_BLOCK` of trials is scored cell by cell.  Returns a row per cell
+    variant (others may differ in their interferer, the draw's last step), and
+    each `_BLOCK` of trials is scored cell by cell.  Returns a row per cell
     and algorithm in plan order: `columns` of its leading columns, algorithm,
-    interferer kind and statistics.  A negative seed, repeated cell or odd draw fails first.
+    interferer kind and statistics.  A negative seed or repeated cell fails first.
     """
     n_trials = _at_least("trial count", sc.n_trials if trials is None else trials, 1)
     leads = Counter(tuple(lead.values()) for *_, lead in plan)
@@ -206,12 +201,6 @@ def _run_plan(sc: Scenario, key: str, plan, columns: tuple[str, ...], trials: in
     if repeated:
         raise ValueError(f"repeated cells {repeated}: a grid, SIR or bandwidth value "
                          f"is listed twice")
-    first, *_, first_lead = plan[0]
-    for cell_sc, *_, lead in plan:
-        if cell_sc is not first and _interferer_end(cell_sc) != _interferer_end(first):
-            raise ValueError(f"cells {first_lead} ({first.nbi.kind}) and {lead} "
-                             f"({cell_sc.nbi.kind}) draw different numbers of interferer "
-                             f"values, so the second's noise would not be its own")
     master_seed = _at_least("seed", sc.master_seed if seed is None else seed, 0)
     per_cell = [[] for _ in plan]  # run_cell's outcomes, one dict per block
     for start in range(0, n_trials, _BLOCK):

@@ -34,23 +34,23 @@ NUMPY_VERSION = "2.4.6"
 # "<job>/<file>" -> SHA-256 of the file the job writes (see _produce).
 GOLDEN = {
     "quick_demo/results.csv":
-        "c6bcf046ded64b5c23602396de53989b4323fbcffe6baefdce84752c8f7a0383",
+        "15913fc9b1726aa0d15aa0775781f2916d02352ff55ca3dfd86959eba68b0cb6",
     "sync_error_ideal_tone/results.csv":
-        "6aa99f6c9d4ed7bb089739d37fbec1b9baa220f6f068f056a20445415f41c529",
+        "1d1dc840827dc4c5da2993bd80cc1ee071c10be0d0d82c3e9d4ff2a52ca570be",
     "sync_error_fm_28k/results.csv":
-        "8356a3348cd9b5beeda0b23ece7eb2bd0e8cdf40a021fe7a5331f38804f86d0c",
+        "7fe40c7dff9b81c622187682c5a9d0f6cda5e4ad36fc5e343f68ca780ab577cd",
     "sync_error_wideband_fm/results.csv":
-        "bb2d3abbf50a4717a5ca32aab58b64428b33c9f2acb44ac9f05e58b4cfd52456",
+        "f45a0f247bc7fd40793064b33e053fdde658d8baf251df0a1fcda2b1c9b7d660",
     "nbi_bandwidth_sweep/bandwidth_sweep.csv":
-        "a34e00469adde3d5cdf2e127325bcdfed19c2632b4430bf3841f34a6b4e7812d",
+        "f7624cf8b82fb179d4599d31afd4e9091c90149555734bdeccdeac2882c90b37",
     "trace/trace.csv":
-        "34a7c0d2bfedcaa9522880fa208a099294c61693cbe833d4097c386553cf80a0",
+        "e4920e0e11696a80c9ffda34ce91f57e481c5b98710a7c43c7e3c5bcfda76673",
     "trace_pct/trace_percentiles.csv":
-        "f3d5090ff79ef58fa3838eb1b89a2fd188df88926e8cc59a20d032ee36bb4dd8",
+        "4a3e50ce37093b507551ac8ebe23bccc6ae75a0a7c45d2620a0542b27dd5caf0",
     "trace_pct_200/trace_percentiles.csv":
-        "705cb328034e4ccd4703b8eef9de7afde8f5f88c12d110bfa1bb21044f44207c",
+        "5563cdd03c75967e3ce98be7a5b2375614a9ab9e0734e9f137b64e1c60956a8b",
     "validate_appendix/notch_study.csv":
-        "9e3abed720bd243165b729c78ccafb91df5e4ed3c4e09797b3be4cf196da3f42",
+        "ef41d94dbfc1104df60d489c9f8f3d47431fa1436a223b6e917271fc4f1dd5ab",
 }
 
 MC_PRESETS = ("sync_error_ideal_tone", "sync_error_fm_28k", "sync_error_wideband_fm")

@@ -428,25 +428,6 @@ def test_repeated_bandwidths_or_sirs_fail_before_any_trial(monkeypatch):
     assert calls == []
 
 
-def test_a_plan_whose_interferers_draw_differently_fails_naming_both_cells(monkeypatch):
-    # The FM kinds draw a message phase that a tone does not: a tone cell
-    # beside an FM one would take its noise from another stream position
-    # than the cell run alone.
-    calls = []
-    monkeypatch.setattr(ncsync.runner, "run_cell", lambda *args: calls.append(args))
-    sc = load("sync_error_ideal_tone")
-    fm = replace(sc, nbi=replace(sc.nbi, kind="fm_carson"))
-    plan = [(sc, 20.0, 0.0, {"snr_db": 20.0, "sir_db": 0.0}),
-            (replace(sc), 20.0, 10.0, {"snr_db": 20.0, "sir_db": 10.0}),
-            (fm, 20.0, 20.0, {"snr_db": 20.0, "sir_db": 20.0})]
-    named = (r"^cells \{'snr_db': 20.0, 'sir_db': 0.0\} \(ideal_tone\) and "
-             r"\{'snr_db': 20.0, 'sir_db': 20.0\} \(fm_carson\) draw different numbers")
-    with pytest.raises(ValueError, match=named):
-        ncsync.runner._run_plan(sc, "grid", plan, ncsync.runner.RESULT_COLUMNS, 1, None,
-                                None, "results.csv")
-    assert calls == []
-
-
 def test_every_entry_point_rejects_fewer_than_one_trial():
     sc = load("quick_demo")
     with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
@@ -625,6 +606,21 @@ def test_plan_rows_are_the_rows_of_its_cells_run_alone_with_the_plan_key():
             want += [(bw, sir, algo, *_stats(out[algo])[:2], trials) for algo in sweep.algorithms]
     rows = run_nbi_bandwidth_sweep(sweep, bandwidths_hz=SWEEP_BWS, sir_list=SWEEP_SIRS,
                                    trials=trials, seed=seed)
+    assert [tuple(row.values()) for row in rows] == want
+
+    # Interferer kinds that take unequal counts of random values (the FM
+    # kinds add a message phase) share the plan's frames: the interferer is drawn last.
+    tone = load("sync_error_ideal_tone")
+    kinds = [tone, replace(tone, nbi=replace(tone.nbi, kind="fm_carson")),
+             _at_bandwidth(tone, 64000.0)]
+    plan = [(cell, 20.0, 0.0, {"snr_db": 20.0, "sir_db": 0.0, "nbi_kind": cell.nbi.kind})
+            for cell in kinds]
+    want = []
+    for cell in kinds:
+        out = run_cell(cell, 20.0, 0.0, trials, seed, "grid")
+        want += [(20.0, 0.0, algo, cell.nbi.kind, *_stats(out[algo])) for algo in cell.algorithms]
+    rows = ncsync.runner._run_plan(tone, "grid", plan, ncsync.runner.RESULT_COLUMNS, trials,
+                                   seed, None, "results.csv")
     assert [tuple(row.values()) for row in rows] == want
 
 
