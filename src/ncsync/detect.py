@@ -47,7 +47,10 @@ def detect(trace: MetricTrace, mode: str = "nirs", timing_rule: str = "argmax") 
     estimate when the cyclic prefix creates a flat top.  The CFO estimate is
     arg(numerator(n_hat)) / pi.  Raises ValueError for an unknown mode or
     timing rule, NoSignalError when M is zero everywhere, and ValueError when
-    the peak metric or the numerator at n_hat is not finite.
+    the peak metric or the numerator at n_hat is not finite.  The kernel
+    squares no sum, so that happens only once its running sums themselves
+    overflow: above an amplitude of ~1e152 for a few thousand unit-power
+    samples, where windows past the overflow may also read metric 0 silently.
     """
     if timing_rule not in TIMING_RULES:
         raise ValueError(f"unknown timing rule {timing_rule!r}; expected one of {TIMING_RULES}")

@@ -13,7 +13,9 @@ twice the phase progression, so G - Q^2/|Q| cancels it while the preamble
 (whose quarter-lag products carry data-dependent signs) survives.  The plain
 timing metric is |G/M|^2, the interference-hardened one |(G - Q^2/|Q|)/M|^2,
 and the CFO estimate at the detected peak is arg(numerator)/pi subcarrier
-spacings.
+spacings.  The kernel forms them as (|num| / M)^2 with Q^2/|Q| = Q (Q / |Q|),
+squaring no sum, so a gain changes no decision while the running sums stay in the
+double range: amplitudes ~1e-154 to ~1e152 for a few thousand unit-power samples.
 
 This module computes whole traces at once with cumulative sums.  streaming.py
 runs this kernel over a stream chunk by chunk, and runs the sample-at-a-time
@@ -69,20 +71,23 @@ def _pick(mode: str, sc: np.ndarray, nirs: np.ndarray | None) -> np.ndarray:
 
 
 def nirs_numerator(g, q):
-    """Tone-cancelling numerator G - Q^2 / |Q| (defined as G where Q = 0)."""
+    """Tone-cancelling numerator G - Q (Q / |Q|) = G - Q^2 / |Q| (defined as G where Q = 0)."""
     q = np.asarray(q, dtype=np.complex128)
     mag = np.abs(q)
-    corr = _divide_or_zero(np.multiply(q, q, out=np.empty_like(q)), mag, mag > 0)
-    return np.subtract(g, corr, out=corr)
+    nonzero, corr = mag > 0, np.empty_like(q)  # corr: Q / |Q| from two real divides
+    _divide_or_zero(q.real, mag, nonzero, corr.real)
+    _divide_or_zero(q.imag, mag, nonzero, corr.imag)
+    return np.subtract(g, np.multiply(q, corr, out=corr), out=corr)
 
 
-def _divide_or_zero(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """num / den where nonzero, else 0, in num's buffer."""
+def _divide_or_zero(num: np.ndarray, den: np.ndarray, nonzero: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """num / den where nonzero, else 0, into out (which may be num)."""
     if nonzero.all():  # the masked divide and fill cost more than the divide
-        return np.divide(num, den, out=num)
-    np.divide(num, den, out=num, where=nonzero)
-    np.copyto(num, 0.0, where=~nonzero)
-    return num
+        return np.divide(num, den, out=out)
+    np.divide(num, den, out=out, where=nonzero)
+    np.copyto(out, 0.0, where=~nonzero)
+    return out
 
 
 def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
@@ -93,10 +98,10 @@ def _sliding_sum(cs: np.ndarray, width: int) -> np.ndarray:
     return sums
 
 
-def _safe_ratio_sq(num: np.ndarray, mm: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """|num|^2 / mm where positive, else 0 (mm = M^2, positive = M > 0)."""
+def _safe_ratio_sq(num: np.ndarray, m: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """(|num| / m)^2 where positive, else 0 (positive = m > 0): |num|^2 / m^2 may overflow."""
     out = np.abs(num)
-    return _divide_or_zero(np.square(out, out=out), mm, positive)
+    return np.square(_divide_or_zero(out, m, positive, out), out=out)
 
 
 def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTrace:
@@ -116,12 +121,13 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     n_windows = s.size - n_fft + 1
     if n_windows < 1:
         raise ValueError(f"buffer of {s.size} samples is shorter than one window ({n_fft})")
-    energy = s.real * s.real + s.imag * s.imag
+    energy = s.real * s.real
+    energy += s.imag * s.imag
     np.cumsum(energy, out=energy)
     if not math.isfinite(energy[-1]) and not np.isfinite(s).all():
         u = int(np.argmin(np.isfinite(s)))
         raise ValueError(f"sample {u} (n = {u - r.origin}) is not finite: {s[u]}")
-    m = _sliding_sum(energy, half)[half:]
+    m = energy[n_fft - 1:] - energy[half - 1:half - 1 + n_windows]
     del energy
 
     # Each temporary is dropped once used, summands before their window sums:
@@ -131,9 +137,8 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     g = _sliding_sum(np.cumsum(products, out=products), half)
     del products
 
-    mm = m * m
     positive = m > 0
-    metric_sc = _safe_ratio_sq(g, mm, positive)
+    metric_sc = _safe_ratio_sq(g, m, positive)
     n_axis = np.arange(-r.origin, n_windows - r.origin)
 
     if not with_nirs:
@@ -149,6 +154,6 @@ def compute_trace(r: TimeSignal, n_fft: int, with_nirs: bool = True) -> MetricTr
     q *= 0.5
     del s4
     g_nirs = nirs_numerator(g, q)
-    metric_nirs = _safe_ratio_sq(g_nirs, mm, positive)
+    metric_nirs = _safe_ratio_sq(g_nirs, m, positive)
     return MetricTrace(n=n_axis, g=g, m=m, metric_sc=metric_sc,
                        q=q, g_nirs=g_nirs, metric_nirs=metric_nirs)

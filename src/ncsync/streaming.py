@@ -20,6 +20,13 @@ the sites where that arithmetic happens; the totals per counted step are the
 per-sample hardware cost of each algorithm (plain correlator: 10 add/sub,
 10 mul/div; interference-hardened: 24, 24, plus one square root), and
 COST_PER_SAMPLE tabulates them for callers that need the counts only.
+
+The model keeps the paper's arithmetic, |num|^2 / M^2 and Q^2 / |Q|, where
+the batch kernel forms (|num| / M)^2 and Q (Q / |Q|) to stay in the double
+range.  The paper's form needs no |num|, a square root per sample the
+counted circuit does not pay, and a fixed-point datapath sets its range by
+scaling, not by the order of its operations.  So its traces match the
+kernel's to rounding at moderate amplitudes only.
 """
 
 from __future__ import annotations
@@ -158,7 +165,7 @@ def trace_from_recursions(r: TimeSignal, n_fft: int, mode: str = "nirs"
     n = np.arange(-r.origin, n_windows - r.origin)
     g, m, metric = np.array(gs), np.array(ms), np.array(metrics)
     if nirs:
-        trace = MetricTrace(n=n, g=g, m=m, metric_sc=_safe_ratio_sq(g, m * m, m > 0),
+        trace = MetricTrace(n=n, g=g, m=m, metric_sc=_safe_ratio_sq(g, m, m > 0),
                             q=np.array(qs), g_nirs=np.array(nums), metric_nirs=metric)
     else:
         trace = MetricTrace(n=n, g=g, m=m, metric_sc=metric)

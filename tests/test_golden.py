@@ -44,11 +44,11 @@ GOLDEN = {
     "nbi_bandwidth_sweep/bandwidth_sweep.csv":
         "f7624cf8b82fb179d4599d31afd4e9091c90149555734bdeccdeac2882c90b37",
     "trace/trace.csv":
-        "e4920e0e11696a80c9ffda34ce91f57e481c5b98710a7c43c7e3c5bcfda76673",
+        "c4a73884020342a2faabf6c2d2a135ad0ac9e8ed19bbd5d47d081354f482ae6b",
     "trace_pct/trace_percentiles.csv":
         "4a3e50ce37093b507551ac8ebe23bccc6ae75a0a7c45d2620a0542b27dd5caf0",
     "trace_pct_200/trace_percentiles.csv":
-        "5563cdd03c75967e3ce98be7a5b2375614a9ab9e0734e9f137b64e1c60956a8b",
+        "3e8765830f03f0190f6a6729bde4aee1c3bb768ec02ee40224423df335418176",
     "validate_appendix/notch_study.csv":
         "ef41d94dbfc1104df60d489c9f8f3d47431fa1436a223b6e917271fc4f1dd5ab",
 }

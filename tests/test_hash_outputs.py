@@ -1,5 +1,6 @@
 """The output-hashing tool prints one stable SHA-256 per output file and seed."""
 
+import csv
 import hashlib
 import importlib.util
 import re
@@ -40,6 +41,26 @@ def test_keep_writes_the_hashed_files_under_their_seed(capsys, tmp_path):
     assert [what for _, what, _ in lines] == FILES
     for seed, what, digest in lines:
         assert hashlib.sha256((tmp_path / seed / what).read_bytes()).hexdigest() == digest
+
+
+def test_compare_shows_how_far_each_moved_column_moved(capsys, tmp_path):
+    hashes(capsys, "--trials", "1", "--frames", "2", "--seeds", "7", "--keep", str(tmp_path))
+    moved = tmp_path / "7" / "trace_pct" / "trace.csv"
+    with moved.open(newline="") as f:
+        rows = list(csv.reader(f))
+    j = rows[0].index("metric_sc")
+    rows[2][j] = str(float(rows[2][j]) * 1.25)
+    rows[3][j] = str(float(rows[3][j]) * 1.5)
+    with moved.open("w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    (tmp_path / "7" / "quick_demo" / "results.csv").unlink()
+    lines = hashes(capsys, "--trials", "1", "--frames", "2", "--seeds", "7",
+                   "--compare", str(tmp_path))
+    notes = {lines[i - 1][1]: line[1:] for i, line in enumerate(lines) if line[0] == "#"}
+    assert [line[1] for line in lines if line[0] != "#"] == FILES
+    missing = str(tmp_path / "7" / "quick_demo" / "results.csv")
+    assert notes == {"quick_demo/results.csv": [f"missing: {missing}"],
+                     "trace_pct/trace.csv": ["metric_sc", "0.333", f"2/{len(rows) - 1}"]}
 
 
 def test_no_seed_is_an_error(capsys):

@@ -1,8 +1,10 @@
 """Correlation metrics, the streaming engine, and peak detection."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncsync import (ChunkCorrelator, FrameSpec, NoSignalError, OpCounters,
                     SubcarrierMap, SymbolGrid, TimeSignal, apply_cfo, build_frame,
@@ -344,21 +346,33 @@ def test_metric_bound_and_normalizer_sign():
     assert np.all(np.isfinite(tr.metric_nirs))
 
 
-def test_metric_is_scale_invariant():
+@functools.cache
+def scale_case():
+    """A noisy frame with a CFO and a tone, and both modes' detections of it."""
     rng = np.random.default_rng(37)
     smap = SubcarrierMap(n_fft=N_FFT, occupied=tuple(range(-100, 0)) + (1, 2, 3)
                          + tuple(range(46, 101)))
     spec = FrameSpec(smap=smap, n_cp=32, n_symbols=2, n_empty_prefix=1)
-    base = clean_frame(spec, rng)
+    base = apply_cfo(clean_frame(spec, rng), 0.3, N_FFT)
     noise = 0.05 * rng.standard_normal(2 * len(base)).view(np.complex128)
-    ref = TimeSignal(base.samples + noise, base.origin)
-    picks = {}
-    for scale in (1e-3, 1.0, 7.0, 1e3):
-        tr = compute_trace(TimeSignal(scale * ref.samples, ref.origin), N_FFT)
-        for mode in ("sc", "nirs"):
-            picks.setdefault(mode, set()).add(int(np.argmax(tr.metric(mode))))
-    assert len(picks["sc"]) == 1
-    assert len(picks["nirs"]) == 1
+    ref = TimeSignal(base.samples + noise + tone(20.4, len(base), amp=0.3).samples,
+                     base.origin)
+    tr = compute_trace(ref, N_FFT)
+    return ref, {mode: detect(tr, mode) for mode in MODES}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-150, 150))
+@example(-150.0)
+@example(150.0)
+def test_metric_is_scale_invariant(log_amp):
+    """Both metrics are ratios to M, so any gain the double range holds detects alike."""
+    ref, want = scale_case()
+    tr = compute_trace(TimeSignal(10.0 ** log_amp * ref.samples, ref.origin), N_FFT)
+    for mode, res in want.items():
+        got = detect(tr, mode)
+        assert got.n_hat == res.n_hat, mode
+        assert abs(got.nu_hat - res.nu_hat) <= 1e-12 * abs(res.nu_hat), mode
 
 
 def test_clean_frame_detection(main_spec):

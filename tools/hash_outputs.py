@@ -19,15 +19,26 @@ directory and one line is printed per file (seed, scenario/file, SHA-256):
   `preset`.
 
 With --keep DIR the files are written under DIR/<seed>/ and kept, so that
-two trees' CSVs can be compared row by row.
+two trees' CSVs can be compared row by row.  With --compare DIR, DIR being
+another tree's --keep directory, each file whose hash differs from its
+counterpart there is followed by one line per column that differs:
+
+    #<TAB>column<TAB>largest relative difference<TAB>rows that differ/rows
+
+The relative difference of two numbers x != y is |x - y| / max(|x|, |y|)
+(inf when either is not finite); a column that does not parse as numbers
+reads `text`.  A file missing there, or with another header or row count,
+gets one `#` line saying so.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -67,6 +78,38 @@ def outputs(seed: int | None, trials: int, frames: int, out: Path):
     yield f"{name}/notch_study.csv", out / name / "notch_study.csv"
 
 
+def _relative_difference(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two CSV cells, 0 when they read equal."""
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def column_differences(path: Path, other: Path) -> list[str]:
+    """The `#` lines comparing a CSV with its counterpart in another tree's output."""
+    if not other.is_file():
+        return [f"#\tmissing: {other}"]
+    with path.open(newline="") as f, other.open(newline="") as g:
+        rows, others = list(csv.reader(f)), list(csv.reader(g))
+    if not rows or not others or rows[0] != others[0] or len(rows) != len(others):
+        return [f"#\theader or row count differs: {len(rows)} against {len(others)} rows"]
+    header, body = rows[0], list(zip(rows[1:], others[1:]))
+    lines = []
+    for j, column in enumerate(header):
+        pairs = [(r[j], o[j]) for r, o in body if r[j] != o[j]]
+        if not pairs:
+            continue
+        try:
+            worst = f"{max(_relative_difference(a, b) for a, b in pairs):.3g}"
+        except ValueError:
+            worst = "text"
+        lines.append(f"#\t{column}\t{worst}\t{len(pairs)}/{len(body)}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, required=True, help="trials per cell")
@@ -75,6 +118,8 @@ def main(argv=None) -> int:
                     help="comma-separated seeds; `preset` keeps each scenario's own")
     ap.add_argument("--keep", metavar="DIR",
                     help="write the files under DIR/<seed>/ and keep them")
+    ap.add_argument("--compare", metavar="DIR",
+                    help="another tree's --keep DIR: show how far each differing file moved")
     args = ap.parse_args(argv)
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
     if not seeds:
@@ -87,6 +132,12 @@ def main(argv=None) -> int:
             for what, path in outputs(seed, args.trials, args.frames, Path(tmp)):
                 print(f"{label}\t{what}\t{hashlib.sha256(path.read_bytes()).hexdigest()}",
                       flush=True)
+                if not args.compare:
+                    continue
+                other = Path(args.compare) / label / what
+                if not other.is_file() or other.read_bytes() != path.read_bytes():
+                    for line in column_differences(path, other):
+                        print(line, flush=True)
     return 0
 
 
