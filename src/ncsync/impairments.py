@@ -26,9 +26,8 @@ from .ofdm import TimeSignal
 COST207_TU_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
 COST207_TU_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
 
-NBI_KINDS = ("ideal_tone", "fm_carson", "fm_wideband")
-_NBI_NUMBERS = ("f_c", "phase0", "freq_offset_hz", "f_m_hz", "delta_f_hz", "bandwidth_hz",
-                "sc_spacing_hz")
+NBI_KINDS = ("ideal_tone", "fm")
+_NBI_NUMBERS = ("f_c", "phase0", "freq_offset_hz", "f_m_hz", "bandwidth_hz", "sc_spacing_hz")
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,10 @@ class NbiSpec:
     """Narrowband interferer description (unit envelope, scaling applied later).
 
     f_c is the carrier position in subcarrier spacings; freq_offset_hz is an
-    additional carrier shift (e.g. a random draw per frame).  The FM kinds
-    modulate a single sinusoidal message of frequency f_m_hz with peak
-    deviation delta_f_hz, giving a Carson-rule bandwidth 2 (delta_f + f_m);
-    fm_wideband is the same construction pinned to bandwidth_hz.
+    additional carrier shift (e.g. a random draw per frame).  The fm kind
+    modulates a single sinusoidal message of frequency f_m_hz to occupy
+    bandwidth_hz by Carson's rule, bandwidth = 2 (delta_f + f_m), so its peak
+    deviation is delta_f = bandwidth_hz / 2 - f_m_hz.
     """
 
     kind: str
@@ -88,7 +87,6 @@ class NbiSpec:
     phase0: float = 0.0
     freq_offset_hz: float = 0.0
     f_m_hz: float = 1e3
-    delta_f_hz: float = 5e3
     bandwidth_hz: float = 200e3
     sc_spacing_hz: float = 15e3
 
@@ -100,12 +98,9 @@ class NbiSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sc_spacing_hz <= 0:
             raise ValueError("sc_spacing_hz must be positive")
-        if self.kind == "fm_carson":
-            if self.f_m_hz <= 0 or self.delta_f_hz <= 0:
-                raise ValueError("fm_carson requires positive f_m_hz and delta_f_hz")
-        if self.kind == "fm_wideband":
+        if self.kind == "fm":
             if self.f_m_hz <= 0:
-                raise ValueError("fm_wideband requires positive f_m_hz")
+                raise ValueError("fm requires positive f_m_hz")
             carson_deviation_hz(self.bandwidth_hz, self.f_m_hz)
 
     @property
@@ -217,17 +212,14 @@ def gen_nbi(spec: NbiSpec, length: int, origin: int, n_fft: int,
 
     The phase accumulates against the frame-relative index n = u - origin so
     the interferer's phase at n = 0 is spec.phase0 (plus any FM message term).
-    The FM kinds draw one random message phase from rng.
+    The fm kind draws one random message phase from rng; its modulation index
+    is beta = delta_f / f_m_hz, delta_f = carson_deviation_hz(bandwidth_hz, f_m_hz).
     """
     if length <= 0:
         raise ValueError("length must be positive")
     carrier = _rotator(2.0 * np.pi * spec.f_total / n_fft, spec.phase0, -origin, length)
-    if spec.kind != "ideal_tone":
-        if spec.kind == "fm_wideband":
-            delta_f = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz)
-        else:
-            delta_f = spec.delta_f_hz
-        beta = delta_f / spec.f_m_hz
+    if spec.kind == "fm":
+        beta = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz) / spec.f_m_hz
         theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
         fs = n_fft * spec.sc_spacing_hz
         # The message sin(2 pi f_m n / fs + theta) is a ramp's imaginary part.

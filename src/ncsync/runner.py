@@ -244,9 +244,9 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
                             trials: int | None = None, seed: int | None = None) -> list[dict]:
     """Sweep the FM interferer's occupied bandwidth at fixed SNR.
 
-    Each bandwidth runs the scenario's interferer as `fm_wideband` at that
-    bandwidth (its f_c and f_m kept), whose deviation follows from Carson's
-    rule, delta_f = bandwidth/2 - f_m, so bandwidths at or below 2 f_m are
+    Each bandwidth runs the scenario's interferer as `fm` at that bandwidth
+    (its f_c and f_m kept), whose deviation follows from Carson's rule,
+    delta_f = bandwidth/2 - f_m, so bandwidths at or below 2 f_m are
     rejected.  They, an empty bandwidth or SIR list, a repeated bandwidth or
     SIR, and a NaN or -inf SNR or SIR are rejected before any trial runs.
     The scenario's own SNR grid and interferer kind are overridden.  Every
@@ -261,7 +261,7 @@ def run_nbi_bandwidth_sweep(sc: Scenario, bandwidths_hz=None, sir_list=None,
         raise ValueError("no SIR values given (sir_list or [grid] sir_db)")
     check_level_db("snr_db", snr_db)
     check_level_db("sir_db", *sirs)
-    plan = [(replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw)),
+    plan = [(replace(sc, nbi=replace(sc.nbi, kind="fm", bandwidth_hz=bw)),
              snr_db, sir_db, {"bandwidth_hz": bw, "sir_db": sir_db})
             for bw in bandwidths for sir_db in sirs]
     return _run_plan(sc, "sweep", plan, SWEEP_COLUMNS, trials, seed, out_dir,

@@ -156,7 +156,7 @@ def parse_scenario(text: str, name_hint: str = "scenario") -> Scenario:
         kind, f_c = get("nbi", "kind"), get("nbi", "f_c")
         try:
             nbi = NbiSpec(kind=kind, f_c=float(f_c), sc_spacing_hz=frame.sc_spacing_hz,
-                          **given("nbi", f_m_hz=float, delta_f_hz=float, bandwidth_hz=float))
+                          **given("nbi", f_m_hz=float, bandwidth_hz=float))
         except ValueError as exc:
             raise ScenarioError(f"[nbi] {exc}") from exc
         fields = dict(

@@ -559,12 +559,8 @@ def longdouble_gen_nbi(spec, length, origin, n_fft, rng=None):
     rate = 2.0 * np.pi * spec.f_total / n_fft
     angle = longdouble_angle(rate, spec.phase0, n)
     scale = rotator_scale(rate, spec.phase0, n)
-    if spec.kind != "ideal_tone":
-        if spec.kind == "fm_wideband":
-            delta_f = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz)
-        else:
-            delta_f = spec.delta_f_hz
-        beta = delta_f / spec.f_m_hz
+    if spec.kind == "fm":
+        beta = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz) / spec.f_m_hz
         theta = 0.0 if rng is None else rng.uniform(0.0, 2.0 * np.pi)
         rate_m = 2.0 * np.pi * spec.f_m_hz / (n_fft * spec.sc_spacing_hz)
         angle += np.longdouble(beta) * np.sin(longdouble_angle(rate_m, theta, n))
@@ -655,13 +651,12 @@ def test_n_axis_equals_the_frozen_one(size, origin):
 
 @st.composite
 def nbi_specs(draw):
-    kind = draw(st.sampled_from(["ideal_tone", "fm_carson", "fm_wideband"]))
+    kind = draw(st.sampled_from(["ideal_tone", "fm"]))
     f_m = draw(st.floats(1.0, 1e5))
     return NbiSpec(kind=kind, f_c=draw(st.floats(-200.0, 200.0)),
                    phase0=draw(st.floats(-10.0, 10.0)),
                    freq_offset_hz=draw(st.floats(-1e5, 1e5)), f_m_hz=f_m,
-                   delta_f_hz=draw(st.floats(1.0, 1e6)),
-                   bandwidth_hz=2.0 * f_m + draw(st.floats(1.0, 1e6)),
+                   bandwidth_hz=2.0 * (f_m + draw(st.floats(1.0, 1e6))),
                    sc_spacing_hz=draw(st.sampled_from([15e3, 7.5e3, 31.25e3])))
 
 

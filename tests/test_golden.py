@@ -38,9 +38,9 @@ GOLDEN = {
     "sync_error_ideal_tone/results.csv":
         "1d1dc840827dc4c5da2993bd80cc1ee071c10be0d0d82c3e9d4ff2a52ca570be",
     "sync_error_fm_28k/results.csv":
-        "7fe40c7dff9b81c622187682c5a9d0f6cda5e4ad36fc5e343f68ca780ab577cd",
+        "641418c3668dfefb0a70ce459a54d3b2f9d1d1591b7ac215e8c6ead4f4cc37de",
     "sync_error_wideband_fm/results.csv":
-        "f45a0f247bc7fd40793064b33e053fdde658d8baf251df0a1fcda2b1c9b7d660",
+        "6b891af69af0a2a145fcc925500db0aff0adcf71904c5746dc07992cd9290482",
     "nbi_bandwidth_sweep/bandwidth_sweep.csv":
         "f7624cf8b82fb179d4599d31afd4e9091c90149555734bdeccdeac2882c90b37",
     "trace/trace.csv":

@@ -15,8 +15,9 @@ _SPEC.loader.exec_module(hash_outputs)
 
 FILES = ["quick_demo/results.csv", "sync_error_ideal_tone/results.csv",
          "sync_error_fm_28k/results.csv", "sync_error_wideband_fm/results.csv",
-         "nbi_bandwidth_sweep/bandwidth_sweep.csv", "trace_pct/trace_percentiles.csv",
-         "trace_pct/trace.csv", "validate_appendix/notch_study.csv"]
+         "nbi_bandwidth_sweep/results.csv", "nbi_bandwidth_sweep/bandwidth_sweep.csv",
+         "trace_pct/trace_percentiles.csv", "trace_pct/trace.csv",
+         "validate_appendix/notch_study.csv"]
 
 
 def hashes(capsys, *argv) -> list[list[str]]:

@@ -6,7 +6,8 @@ import pytest
 from ncsync import (ChannelRealization, MixSpec, NbiSpec, TimeSignal, apply_cfo,
                     apply_multipath, calibrate_and_mix, draw_channel_cost207tu,
                     gen_nbi)
-from ncsync.impairments import carson_deviation_hz, mean_power
+from ncsync.impairments import NBI_KINDS, carson_deviation_hz, mean_power
+from ncsync.scenario import load
 
 EXACT_TOL = 1e-12
 RATIO_TOL = 1e-9
@@ -116,17 +117,17 @@ def test_nbi_offset_moves_the_carrier():
 
 def test_all_nbi_kinds_have_unit_envelope():
     rng = np.random.default_rng(6)
-    for kind in ("ideal_tone", "fm_carson", "fm_wideband"):
+    for kind in NBI_KINDS:
         spec = NbiSpec(kind=kind, f_c=24.5, phase0=1.2)
         sig = gen_nbi(spec, 500, 30, N_FFT, rng)
         np.testing.assert_allclose(np.abs(sig.samples), 1.0, atol=EXACT_TOL)
 
 
 def test_fm_with_vanishing_deviation_is_a_tone():
-    beta = 1e-6
+    spec = NbiSpec(kind="fm", f_c=24.5, f_m_hz=1e3, bandwidth_hz=2e3 + 2e-3)
+    beta = carson_deviation_hz(spec.bandwidth_hz, spec.f_m_hz) / spec.f_m_hz  # ~1e-6
     tone = gen_nbi(NbiSpec(kind="ideal_tone", f_c=24.5), 1000, 0, N_FFT)
-    fm = gen_nbi(NbiSpec(kind="fm_carson", f_c=24.5, f_m_hz=1e3,
-                         delta_f_hz=beta * 1e3), 1000, 0, N_FFT, rng=None)
+    fm = gen_nbi(spec, 1000, 0, N_FFT, rng=None)
     # |exp(j beta m) - 1| = 2 |sin(beta m / 2)|, and the message m reaches 1
     # at n = 960, so the supremum is attained: the bound is it plus rounding.
     bound = 2 * np.sin(beta / 2) + 4 * np.finfo(float).eps
@@ -146,20 +147,19 @@ def test_nbi_spec_validation():
     with pytest.raises(ValueError):
         NbiSpec(kind="chirp", f_c=0.0)
     with pytest.raises(ValueError):
-        NbiSpec(kind="fm_carson", f_c=0.0, delta_f_hz=0.0)
+        NbiSpec(kind="fm", f_c=0.0, f_m_hz=0.0)
     with pytest.raises(ValueError):
-        NbiSpec(kind="fm_carson", f_c=0.0, f_m_hz=-1.0)
+        NbiSpec(kind="fm", f_c=0.0, f_m_hz=-1.0)
     with pytest.raises(ValueError):
-        NbiSpec(kind="fm_wideband", f_c=0.0, f_m_hz=1e3, bandwidth_hz=2e3)
+        NbiSpec(kind="fm", f_c=0.0, f_m_hz=1e3, bandwidth_hz=2e3)
     with pytest.raises(ValueError):
         gen_nbi(NbiSpec(kind="ideal_tone", f_c=0.0), 0, 0, N_FFT)
 
 
-NBI_NUMBERS = ("f_c", "phase0", "freq_offset_hz", "f_m_hz", "delta_f_hz", "bandwidth_hz",
-               "sc_spacing_hz")
+NBI_NUMBERS = ("f_c", "phase0", "freq_offset_hz", "f_m_hz", "bandwidth_hz", "sc_spacing_hz")
 
 
-@pytest.mark.parametrize("kind", ["ideal_tone", "fm_carson", "fm_wideband"])
+@pytest.mark.parametrize("kind", NBI_KINDS)
 @pytest.mark.parametrize("field", NBI_NUMBERS)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_nbi_spec_rejects_a_non_finite_number_naming_it(kind, field, value):
@@ -184,8 +184,7 @@ def test_fm_phase_is_locally_linear_at_28khz():
     interferer as a tone.
     """
     rng = np.random.default_rng(7)
-    spec = NbiSpec(kind="fm_carson", f_c=24.5, f_m_hz=1e3, delta_f_hz=13e3,
-                   sc_spacing_hz=15e3)
+    spec = NbiSpec(kind="fm", f_c=24.5, f_m_hz=1e3, bandwidth_hz=28e3, sc_spacing_hz=15e3)
     sig = gen_nbi(spec, 8192, 0, N_FFT, rng)  # covers two message periods
     phase = np.unwrap(np.angle(sig.samples))
     t = np.arange(N_FFT)
@@ -195,6 +194,22 @@ def test_fm_phase_is_locally_linear_at_28khz():
         resid = seg - np.polyval(np.polyfit(t, seg, 1), t)
         worst = max(worst, float(np.sqrt(np.mean(resid**2))))
     assert worst < 0.1
+
+
+# 700 Hz: a message period that is not a whole number of samples.
+@pytest.mark.parametrize("f_m_hz", [250.0, 500.0, 700.0, 1e3])
+@pytest.mark.parametrize("bandwidth_hz",
+                         sorted({28e3, 200e3, *load("nbi_bandwidth_sweep").sweep_bandwidths_hz}))
+def test_fm_peak_frequency_offset_is_the_carson_deviation(bandwidth_hz, f_m_hz):
+    # The largest phase step off the carrier's over one message period is the
+    # mean frequency over one sample at the message's peak: bandwidth/2 - f_m
+    # times 1 - O((2 pi f_m / fs)^2), a sampling error of ~1e-7 or less here.
+    spec = NbiSpec(kind="fm", f_c=24.5, f_m_hz=f_m_hz, bandwidth_hz=bandwidth_hz)
+    fs = N_FFT * spec.sc_spacing_hz
+    sig = gen_nbi(spec, int(fs / spec.f_m_hz) + 1, 0, N_FFT, np.random.default_rng(9))
+    step = np.angle(sig.samples[1:] * sig.samples[:-1].conj()) - 2 * np.pi * spec.f_c / N_FFT
+    peak_hz = float(np.abs(step).max()) * fs / (2 * np.pi)
+    assert peak_hz == pytest.approx(bandwidth_hz / 2 - spec.f_m_hz, rel=1e-6)
 
 
 def test_calibration_hits_requested_levels():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ncsync.runner
-from ncsync.impairments import NbiSpec, carson_deviation_hz, gen_nbi
+from ncsync.impairments import NBI_KINDS, NbiSpec, carson_deviation_hz
 from ncsync.ofdm import FrameSpec
 from ncsync.evaluate import aggregate
 from ncsync.runner import (emit_trace, run_cell, run_nbi_bandwidth_sweep, run_scenario,
@@ -96,13 +96,20 @@ def test_a_nan_or_minus_inf_grid_level_fails_at_load(line, bad, name):
         parse_scenario(CLEAN_INI.replace(line, bad))
 
 
-@pytest.mark.parametrize("nbi", [
-    "kind = fm_wideband\nbandwidth_hz = 1500\nf_m_hz = 1000",
-    "kind = fm_carson\nf_m_hz = 0",
-    "kind = fm_carson\ndelta_f_hz = 0",
-], ids=["wideband_under_carson_floor", "carson_zero_f_m", "carson_zero_delta_f"])
-def test_a_bad_nbi_section_fails_at_load(nbi):
-    with pytest.raises(ScenarioError, match=r"^\[nbi\] "):
+@pytest.mark.parametrize("nbi, named", [
+    ("kind = fm\nbandwidth_hz = 1500\nf_m_hz = 1000", r"^\[nbi\] bandwidth 1500.0 Hz <= Carson"),
+    ("kind = fm\nf_m_hz = 0", r"^\[nbi\] fm requires positive f_m_hz"),
+    ("kind = fm\nf_m_hz = -1000", r"^\[nbi\] fm requires positive f_m_hz"),
+    ("kind = fm\nbandwidth_hz = 2000\nf_m_hz = 1000", r"^\[nbi\] bandwidth 2000.0 Hz <= Carson"),
+    ("kind = fm\nbandwidth_hz = -28000", r"^\[nbi\] bandwidth -28000.0 Hz <= Carson"),
+    ("kind = fm_carson", r"^\[nbi\] unknown NBI kind 'fm_carson'"),
+    ("kind = fm_wideband", r"^\[nbi\] unknown NBI kind 'fm_wideband'"),
+    ("kind = fm\ndelta_f_hz = 13000", r"^unknown section or key: \[nbi\] delta_f_hz$"),
+], ids=["fm_under_carson_floor", "fm_zero_f_m", "fm_negative_f_m", "fm_at_carson_floor",
+        "fm_negative_bandwidth", "old_kind_fm_carson", "old_kind_fm_wideband",
+        "old_key_delta_f_hz"])
+def test_a_bad_nbi_section_fails_at_load(nbi, named):
+    with pytest.raises(ScenarioError, match=named):
         parse_scenario(CLEAN_INI.replace("kind = ideal_tone", nbi))
     for name in preset_names():
         load(name)
@@ -120,8 +127,8 @@ NON_FINITE_OR_NEGATIVE = [
     ("quick_demo", "f_c", "nan", "[nbi] f_c must be finite, got nan"),
     ("quick_demo", "f_c", "inf", "[nbi] f_c must be finite, got inf"),
     ("sync_error_fm_28k", "f_m_hz", "nan", "[nbi] f_m_hz must be finite, got nan"),
-    ("sync_error_fm_28k", "delta_f_hz", "nan", "[nbi] delta_f_hz must be finite, got nan"),
-    ("sync_error_fm_28k", "delta_f_hz", "inf", "[nbi] delta_f_hz must be finite, got inf"),
+    ("sync_error_fm_28k", "f_m_hz", "inf", "[nbi] f_m_hz must be finite, got inf"),
+    ("sync_error_fm_28k", "bandwidth_hz", "inf", "[nbi] bandwidth_hz must be finite, got inf"),
     ("sync_error_wideband_fm", "bandwidth_hz", "nan",
      "[nbi] bandwidth_hz must be finite, got nan"),
     ("quick_demo", "sc_spacing_hz", "inf", "sc_spacing_hz must be positive and finite, got inf"),
@@ -164,7 +171,7 @@ def test_repeated_algorithms_fail_at_load():
                                          "timing_rule = midpoint90\nalgorithms = sc, sc"))
 
 
-@pytest.mark.parametrize("kind", ["ideal_tone", "fm_carson", "fm_wideband"])
+@pytest.mark.parametrize("kind", NBI_KINDS)
 def test_omitted_optional_keys_take_the_dataclass_defaults(kind):
     def stated(cls, *keys) -> str:
         default = {f.name: f.default for f in fields(cls)}
@@ -174,8 +181,8 @@ def test_omitted_optional_keys_take_the_dataclass_defaults(kind):
     full = (omitted.replace("n_cp = 32\n", "n_cp = 32\n"
                             + stated(FrameSpec, "n_empty_prefix", "sc_spacing_hz"))
             .replace("f_c = 24.5\n", "f_c = 24.5\n"
-                     + stated(NbiSpec, "f_m_hz", "delta_f_hz", "bandwidth_hz")))
-    assert full.count(" = ") == omitted.count(" = ") + 5
+                     + stated(NbiSpec, "f_m_hz", "bandwidth_hz")))
+    assert full.count(" = ") == omitted.count(" = ") + 4
     a, b = parse_scenario(omitted), parse_scenario(full)
     assert replace(a, source_text="") == replace(b, source_text="")
     assert a.nbi.kind == kind
@@ -389,19 +396,15 @@ def test_bandwidth_sweep_carson_floor():
                              "p_sync_error", "ci95_halfwidth", "n_trials"]
 
 
-def test_sweep_interferer_equals_fm_carson_at_carson_deviation():
-    # The sweep runs fm_wideband at each bandwidth; its samples are fm_carson's
-    # at Carson's deviation for that bandwidth, bit for bit.
-    sc = load("nbi_bandwidth_sweep")
-    assert len(sc.sweep_bandwidths_hz) == 6
-    base = sc.nbi_spec(phase0=1.1, freq_offset_hz=-3.7e3)
-    for bw in sc.sweep_bandwidths_hz:
-        wide = replace(base, kind="fm_wideband", bandwidth_hz=bw)
-        carson = replace(base, kind="fm_carson",
-                         delta_f_hz=carson_deviation_hz(bw, base.f_m_hz))
-        a, b = (gen_nbi(spec, 4000, 800, sc.frame.n_fft, np.random.default_rng(7))
-                for spec in (wide, carson))
-        assert a.samples.tobytes() == b.samples.tobytes()
+# The FM presets once stated a peak deviation (delta_f_hz); their bandwidths
+# give the same deviation, and so the same samples, exactly.
+@pytest.mark.parametrize("name, delta_f_hz", [("sync_error_fm_28k", 13e3),
+                                              ("sync_error_wideband_fm", 99e3),
+                                              ("nbi_bandwidth_sweep", 1e3)])
+def test_fm_presets_keep_their_peak_deviation(name, delta_f_hz):
+    nbi = load(name).nbi
+    assert nbi.kind == "fm"
+    assert carson_deviation_hz(nbi.bandwidth_hz, nbi.f_m_hz) == delta_f_hz
 
 
 # 0 and -0 have different cell keys ("snr=0.0", "snr=-0.0") but are one level.
@@ -517,7 +520,7 @@ def test_receive_draws_as_run_trial(name, cell, monkeypatch):
 
 
 def _at_bandwidth(sc, bw):
-    return replace(sc, nbi=replace(sc.nbi, kind="fm_wideband", bandwidth_hz=bw))
+    return replace(sc, nbi=replace(sc.nbi, kind="fm", bandwidth_hz=bw))
 
 
 SWEEP_BWS, SWEEP_SIRS = (8000.0, 64000.0), (-10.0, 10.0)
@@ -608,12 +611,13 @@ def test_plan_rows_are_the_rows_of_its_cells_run_alone_with_the_plan_key():
                                    trials=trials, seed=seed)
     assert [tuple(row.values()) for row in rows] == want
 
-    # Interferer kinds that take unequal counts of random values (the FM
-    # kinds add a message phase) share the plan's frames: the interferer is drawn last.
+    # Interferer kinds that take unequal counts of random values (fm adds a
+    # message phase) share the plan's frames: the interferer is drawn last.
     tone = load("sync_error_ideal_tone")
-    kinds = [tone, replace(tone, nbi=replace(tone.nbi, kind="fm_carson")),
+    kinds = [tone, replace(tone, nbi=replace(tone.nbi, kind="fm")),
              _at_bandwidth(tone, 64000.0)]
-    plan = [(cell, 20.0, 0.0, {"snr_db": 20.0, "sir_db": 0.0, "nbi_kind": cell.nbi.kind})
+    plan = [(cell, 20.0, 0.0, {"snr_db": 20.0, "sir_db": 0.0, "nbi_kind": cell.nbi.kind,
+                               "bandwidth_hz": cell.nbi.bandwidth_hz})
             for cell in kinds]
     want = []
     for cell in kinds:

@@ -9,7 +9,8 @@ for each scenario's own master seed, the outputs are written to a temporary
 directory and one line is printed per file (seed, scenario/file, SHA-256):
 
 - results.csv of quick_demo (the flat-channel preset), sync_error_ideal_tone,
-  sync_error_fm_28k and sync_error_wideband_fm, run at --trials trials per cell;
+  sync_error_fm_28k, sync_error_wideband_fm and nbi_bandwidth_sweep, run at
+  --trials trials per cell;
 - bandwidth_sweep.csv of nbi_bandwidth_sweep at --trials trials per cell;
 - trace_percentiles.csv of the trace_pct benchmark cell: sync_error_fm_28k
   at 20 dB SNR and 0 dB SIR over --frames frames;
@@ -48,7 +49,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 from ncsync import cli, runner, scenario  # noqa: E402  (after the path fallback)
 
 RUN_PRESETS = ("quick_demo", "sync_error_ideal_tone", "sync_error_fm_28k",
-               "sync_error_wideband_fm")
+               "sync_error_wideband_fm", "nbi_bandwidth_sweep")
 TRACE_CELL = ("sync_error_fm_28k", 20.0, 0.0)
 
 
